@@ -92,9 +92,14 @@ void StoreHandle::Reset() {
   store.reset();
   if (prefix.empty()) return;  // default-constructed or moved-from
   for (size_t i = 0; i < shards; ++i) {
-    std::remove((prefix + ".shard" + std::to_string(i)).c_str());
+    const std::string shard = prefix + ".shard" + std::to_string(i);
+    std::remove(shard.c_str());
+    std::remove((shard + ".ckpt").c_str());
+    std::remove((shard + ".ckpt.tmp").c_str());
   }
   std::remove((prefix + ".manifest").c_str());
+  std::remove((prefix + ".manifest.tmp").c_str());
+  std::remove((prefix + ".sock").c_str());  // bench_serving's listener
   prefix.clear();
   shards = 0;
 }

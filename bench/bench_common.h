@@ -75,7 +75,8 @@ TableHandle MakeTable(api::IndexKind kind, const BenchConfig& config,
 
 // A freshly created ShardedStore over `shards` pools at unique temp
 // paths; the per-shard pool size divides config.pool_gb. Closed cleanly
-// and unlinked on destruction.
+// on destruction, which unlinks every file under the prefix: pools,
+// checkpoints, the manifest and a `<prefix>.sock` listener.
 struct StoreHandle {
   std::unique_ptr<api::ShardedStore> store;
   std::string prefix;

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <new>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -104,16 +105,15 @@ struct CompletionState {
 // One submitted batch. Owns the regrouped copy of the operations (shard s
 // holds the contiguous range [start[s], start[s+1])) so the request stays
 // valid while it sits in queues; the caller's output arrays must outlive
-// the future's completion. Serving-sized batches live entirely in the
-// inline storage below — one make_shared allocation per request instead
-// of a handful of vector allocations on the hot submission path.
+// the future's completion. Make() sizes the per-op and per-shard arrays to
+// the batch and places them behind the state in its one allocation.
 struct BatchState : CompletionState {
-  static constexpr size_t kInlineOps = 256;
-  static constexpr size_t kInlineShards = 64;
+  // Allocates the state together with its arrays (count ops, `shards`
+  // shards), left uninitialised: SubmitScattered writes every slot before
+  // any reader. One heap block, holding the shared_ptr control block too.
+  static std::shared_ptr<BatchState> Make(size_t count, size_t shards);
 
-  // Spans set up by ShardedStore::SubmitScattered: into the inline
-  // arrays when count <= kInlineOps and shards <= kInlineShards, into
-  // the heap vectors beyond.
+  // Spans into the trailing storage set up by Make.
   Op* sub = nullptr;           // regrouped descriptors
   Status* sub_status = nullptr;
   uint32_t* origin = nullptr;  // regrouped slot -> caller slot
@@ -150,37 +150,60 @@ struct BatchState : CompletionState {
     for (size_t j = begin; j < end; ++j) statuses[origin[j]] = st;
     CompleteOne();
   }
+};
 
-  // Points the spans at the inline arrays or, beyond their capacity, at
-  // freshly sized heap vectors.
-  void ReserveSlots(size_t count, size_t shards) {
-    if (count <= kInlineOps && shards <= kInlineShards) {
-      sub = inline_sub_;
-      sub_status = inline_status_;
-      origin = inline_origin_;
-      start = inline_start_;
-    } else {
-      heap_sub_.resize(count);
-      heap_status_.resize(count);
-      heap_origin_.resize(count);
-      heap_start_.resize(shards + 1);
-      sub = heap_sub_.data();
-      sub_status = heap_status_.data();
-      origin = heap_origin_.data();
-      start = heap_start_.data();
-    }
+// allocate_shared allocator that over-allocates its single block by
+// `extra` bytes and reports where they start through `*tail` (written by
+// allocate(), the only call that reads `tail`).
+template <typename T>
+struct TailAllocator {
+  using value_type = T;
+
+  TailAllocator(size_t extra_bytes, std::byte** tail_out)
+      : extra(extra_bytes), tail(tail_out) {}
+  template <typename U>
+  TailAllocator(const TailAllocator<U>& other) noexcept
+      : extra(other.extra), tail(other.tail) {}
+
+  T* allocate(size_t n) {
+    auto* block = static_cast<std::byte*>(
+        ::operator new(n * sizeof(T) + extra));
+    *tail = block + n * sizeof(T);
+    return reinterpret_cast<T*>(block);
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T) + extra);
+  }
+  template <typename U>
+  bool operator==(const TailAllocator<U>& other) const noexcept {
+    return extra == other.extra;
   }
 
- private:
-  Op inline_sub_[kInlineOps];
-  Status inline_status_[kInlineOps];
-  uint32_t inline_origin_[kInlineOps];
-  size_t inline_start_[kInlineShards + 1];
-  std::vector<Op> heap_sub_;
-  std::vector<Status> heap_status_;
-  std::vector<uint32_t> heap_origin_;
-  std::vector<size_t> heap_start_;
+  size_t extra;
+  std::byte** tail;
 };
+
+inline std::shared_ptr<BatchState> BatchState::Make(size_t count,
+                                                    size_t shards) {
+  // Widest alignment first, so every array lands aligned (the block
+  // itself is at least 8-aligned: operator new plus a whole number of
+  // control blocks).
+  static_assert(alignof(Op) <= alignof(size_t));
+  const size_t start_bytes = (shards + 1) * sizeof(size_t);
+  const size_t sub_bytes = count * sizeof(Op);
+  const size_t origin_bytes = count * sizeof(uint32_t);
+  const size_t extra = start_bytes + sub_bytes + origin_bytes +
+                       count * sizeof(Status);
+  std::byte* tail = nullptr;
+  auto state = std::allocate_shared<BatchState>(
+      TailAllocator<BatchState>(extra, &tail));
+  state->start = reinterpret_cast<size_t*>(tail);
+  state->sub = reinterpret_cast<Op*>(tail + start_bytes);
+  state->origin = reinterpret_cast<uint32_t*>(tail + start_bytes + sub_bytes);
+  state->sub_status = reinterpret_cast<Status*>(tail + start_bytes +
+                                                sub_bytes + origin_bytes);
+  return state;
+}
 
 // One Stats snapshot routed through the shard queues: shard s's worker
 // fills per_shard[s] at its queue position, i.e. after every batch that

@@ -167,7 +167,6 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
   }
   RecoveryReport& report = store->recovery_;
   report.shard_ms.assign(options.shards, 0.0);
-  report.shard_recovered.assign(options.shards, false);
   report.shard_source.assign(options.shards, "quarantined");
   report.shard_replayed.assign(options.shards, 0);
   report.shard_staleness.assign(options.shards, 0);
@@ -188,6 +187,9 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
   std::atomic<size_t> next{0};
   std::atomic<bool> hard_fail{false};
   std::exception_ptr first_exception = nullptr;
+  // One byte per shard: report.shard_recovered is a vector<bool>, whose
+  // neighbouring elements share a word, so it is filled after the join.
+  std::vector<uint8_t> recovered(options.shards, 0);
 
   // Opens shard i: pool (tagged), epochs, index, then — when the pool was
   // dirty — the structural verify. A pre-existing shard that fails any
@@ -221,14 +223,14 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
       reason = "identity tag mismatch (swapped or foreign pool file)";
     }
     if (ok) {
-      report.shard_recovered[i] = shard.pool->recovered_from_crash();
+      recovered[i] = shard.pool->recovered_from_crash();
       shard.index = CreateKvIndex(options.kind, shard.pool.get(),
                                   shard.epochs.get(),
                                   store->ShardTableOptions(i));
       if (shard.index == nullptr) {
         ok = false;
         reason = "index attach failed";
-      } else if (options.verify_on_open && report.shard_recovered[i] &&
+      } else if (options.verify_on_open && recovered[i] != 0 &&
                  !shard.index->Verify()) {
         ok = false;
         reason = "post-recovery structural verify failed";
@@ -304,6 +306,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
   const auto open_t1 = std::chrono::steady_clock::now();
   report.total_ms =
       std::chrono::duration<double, std::milli>(open_t1 - open_t0).count();
+  report.shard_recovered.assign(recovered.begin(), recovered.end());
   for (size_t i = 0; i < options.shards; ++i) {
     if (store->quarantined_[i].load(std::memory_order_acquire)) {
       report.quarantined.push_back(i);
@@ -466,10 +469,9 @@ Status ShardedStore::Delete(uint64_t key) {
 namespace {
 // Serving batches are typically small; below this size the scatter uses
 // stack scratch instead of heap vectors (the allocations would otherwise
-// rival the cost of a 16-op batch). Tied to BatchState's inline storage
-// so the stack and inline fast paths cannot silently diverge.
-constexpr size_t kStackBatch = internal::BatchState::kInlineOps;
-constexpr size_t kMaxShardsOnStack = internal::BatchState::kInlineShards;
+// rival the cost of a 16-op batch).
+constexpr size_t kStackBatch = 256;
+constexpr size_t kMaxShardsOnStack = 64;
 }  // namespace
 
 // ---- asynchronous submission ----
@@ -508,8 +510,6 @@ BatchFuture ShardedStore::SubmitScattered(
     run_direct(shards_[0].index.get());
     return BatchFuture(std::move(state));
   }
-
-  state->ReserveSlots(count, num_shards);
 
   uint32_t stack_shard_of[kStackBatch];
   size_t stack_cursor[kMaxShardsOnStack];
@@ -622,7 +622,7 @@ void StampDeadline(internal::BatchState* state,
 BatchFuture ShardedStore::SubmitExecute(Op* ops, size_t count,
                                         Status* statuses,
                                         const SubmitOptions& submit) {
-  auto state = std::make_shared<internal::BatchState>();
+  auto state = internal::BatchState::Make(count, shards_.size());
   state->statuses = statuses;
   state->caller_ops = ops;
   StampDeadline(state.get(), submit);
@@ -635,7 +635,7 @@ BatchFuture ShardedStore::SubmitExecute(Op* ops, size_t count,
 BatchFuture ShardedStore::SubmitSearch(const uint64_t* keys, size_t count,
                                        uint64_t* values, Status* statuses,
                                        const SubmitOptions& submit) {
-  auto state = std::make_shared<internal::BatchState>();
+  auto state = internal::BatchState::Make(count, shards_.size());
   state->statuses = statuses;
   state->values_out = values;
   StampDeadline(state.get(), submit);
@@ -651,7 +651,7 @@ BatchFuture ShardedStore::SubmitInsert(const uint64_t* keys,
                                        const uint64_t* values, size_t count,
                                        Status* statuses,
                                        const SubmitOptions& submit) {
-  auto state = std::make_shared<internal::BatchState>();
+  auto state = internal::BatchState::Make(count, shards_.size());
   state->statuses = statuses;
   StampDeadline(state.get(), submit);
   return SubmitScattered(
@@ -666,7 +666,7 @@ BatchFuture ShardedStore::SubmitUpdate(const uint64_t* keys,
                                        const uint64_t* values, size_t count,
                                        Status* statuses,
                                        const SubmitOptions& submit) {
-  auto state = std::make_shared<internal::BatchState>();
+  auto state = internal::BatchState::Make(count, shards_.size());
   state->statuses = statuses;
   StampDeadline(state.get(), submit);
   return SubmitScattered(
@@ -680,7 +680,7 @@ BatchFuture ShardedStore::SubmitUpdate(const uint64_t* keys,
 BatchFuture ShardedStore::SubmitDelete(const uint64_t* keys, size_t count,
                                        Status* statuses,
                                        const SubmitOptions& submit) {
-  auto state = std::make_shared<internal::BatchState>();
+  auto state = internal::BatchState::Make(count, shards_.size());
   state->statuses = statuses;
   StampDeadline(state.get(), submit);
   return SubmitScattered(
@@ -989,6 +989,19 @@ ShardedStats ShardedStore::Aggregate(const IndexStats* per_shard,
     out.totals.opt_retries += s.opt_retries;
     out.totals.version_conflicts += s.version_conflicts;
     out.totals.write_locks += s.write_locks;
+    out.totals.bucket_lock_acquisitions += s.bucket_lock_acquisitions;
+    out.totals.bucket_lock_contended_spins += s.bucket_lock_contended_spins;
+    out.totals.recovery_replayed += s.recovery_replayed;
+    out.totals.recovery_staleness += s.recovery_staleness;
+    out.totals.log_dead_slots += s.log_dead_slots;
+    out.totals.compactions += s.compactions;
+    out.totals.compaction_chunks_reclaimed += s.compaction_chunks_reclaimed;
+    out.totals.compaction_bytes_rewritten += s.compaction_bytes_rewritten;
+    out.totals.log_chunks += s.log_chunks;
+    out.totals.log_chunk_bytes += s.log_chunk_bytes;
+    // Worst lane across shards, as within one table.
+    out.totals.compaction_dead_ratio =
+        std::max(out.totals.compaction_dead_ratio, s.compaction_dead_ratio);
     // Conservative: report the smallest page size any shard got (one
     // 4K-backed shard is enough to reintroduce its DTLB misses).
     out.totals.pool_page_bytes =

@@ -143,8 +143,10 @@ struct ShardedStoreOptions {
 };
 
 struct ShardedStats {
-  // records / capacity_slots / bytes_used summed over *healthy* shards;
-  // load_factor recomputed from the sums.
+  // Every counter summed over *healthy* shards; load_factor recomputed
+  // from the sums, compaction_dead_ratio and pool_page_bytes the worst
+  // shard's. recovery_source stays default: per-shard provenance is in
+  // RecoveryReport::shard_source.
   IndexStats totals;
   size_t shard_count = 0;
   // Load-factor spread across healthy shards: a wide gap means the

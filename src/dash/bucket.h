@@ -178,6 +178,14 @@ class Bucket {
 
   BucketLock& lock() { return lock_; }
   const Record& record(int slot) const { return records_[slot]; }
+  // Lock-free readers load a slot's value through an 8-byte atomic:
+  // UpdateSlotValue stores it atomically under the lock, and the reader's
+  // version re-validation discards a value that raced a write.
+  uint64_t LoadValue(int slot) const {
+    return reinterpret_cast<const std::atomic<uint64_t>*>(
+               &records_[slot].value)
+        ->load(std::memory_order_relaxed);
+  }
   uint8_t fingerprint(int slot) const { return fps_[slot]; }
   bool SlotMembership(uint32_t meta_word, int slot) const {
     return (MemberBits(meta_word) >> slot) & 1;
@@ -189,10 +197,15 @@ class Bucket {
   uint32_t MatchFingerprints(uint8_t fp, uint32_t alloc_bits) const {
 #if defined(__SSE2__)
     // The 14 slot fingerprints plus the first two overflow fingerprints
-    // occupy 16 contiguous bytes; the mask drops the latter.
+    // occupy 16 contiguous bytes; the mask drops the latter. Loaded as two
+    // relaxed 8-byte atomics rather than one vector load: lock-free
+    // readers run this while an insert stores a fingerprint, and the
+    // caller's version check discards whatever such a race read.
+    const auto* words = reinterpret_cast<const std::atomic<uint64_t>*>(fps_);
     const __m128i needle = _mm_set1_epi8(static_cast<char>(fp));
-    const __m128i haystack =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(fps_));
+    const __m128i haystack = _mm_set_epi64x(
+        static_cast<long long>(words[1].load(std::memory_order_relaxed)),
+        static_cast<long long>(words[0].load(std::memory_order_relaxed)));
     const uint32_t eq = static_cast<uint32_t>(
         _mm_movemask_epi8(_mm_cmpeq_epi8(haystack, needle)));
     return eq & alloc_bits & kAllocMask;
@@ -262,7 +275,9 @@ class Bucket {
     records_[slot].value = value;
     pmem::Persist(&records_[slot], sizeof(Record));  // persist record first
 
-    fps_[slot] = fp;
+    // Atomic byte store: lock-free readers load the fingerprints as words.
+    reinterpret_cast<std::atomic<uint8_t>*>(&fps_[slot])
+        ->store(fp, std::memory_order_relaxed);
     uint32_t next = m | (1u << slot);
     if (member) next |= 1u << (kNumSlots + slot);
     next = (next & ~(0xFu << 28)) | ((Count(m) + 1) << 28);

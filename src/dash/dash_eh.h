@@ -921,7 +921,7 @@ class DashEH {
     src->ForEachRecord([&](Bucket* bucket, int slot) {
       const uint64_t stored = bucket->record(slot).key;
       const uint64_t rh = KP::HashStored(stored);
-      const uint64_t value = bucket->record(slot).value;
+      const uint64_t value = bucket->LoadValue(slot);
       const uint8_t fp = Segment::Fingerprint(rh);
       const uint32_t y0 = Segment::BucketIndex(rh, dst->num_buckets());
       const uint32_t y1 = (y0 + 1) & (dst->num_buckets() - 1);
@@ -1070,7 +1070,7 @@ class DashEH {
       const uint64_t stored = bucket->record(slot).key;
       const uint64_t rh = KP::HashStored(stored);
       if (((rh >> shift) & 1) == 0) return;  // stays in the source
-      const uint64_t value = bucket->record(slot).value;
+      const uint64_t value = bucket->LoadValue(slot);
       const uint8_t fp = Segment::Fingerprint(rh);
       const uint32_t y0 = Segment::BucketIndex(rh, child->num_buckets());
       const uint32_t y1 = (y0 + 1) & (child->num_buckets() - 1);

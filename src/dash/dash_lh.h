@@ -928,7 +928,7 @@ class DashLH {
       const uint64_t stored = bucket->record(slot).key;
       const uint64_t rh = KP::HashStored(stored);
       if ((SegBits(rh) & mask) != moved_pattern) return;
-      const uint64_t value = bucket->record(slot).value;
+      const uint64_t value = bucket->LoadValue(slot);
       const uint8_t fp = Segment::Fingerprint(rh);
       const uint32_t y0 = Segment::BucketIndex(rh, buddy->num_buckets());
       const uint32_t y1 = (y0 + 1) & (buddy->num_buckets() - 1);

@@ -305,7 +305,7 @@ class Segment {
 
     int slot = b0->FindKey<KP>(fp, key, opts);
     if (slot >= 0) {
-      const uint64_t value = b0->record(slot).value;
+      const uint64_t value = b0->LoadValue(slot);
       if (!b0->lock().Verify(v0)) return OpStatus::kRetry;
       *out = value;
       return OpStatus::kOk;
@@ -313,7 +313,7 @@ class Segment {
     if (b1 != nullptr) {
       slot = b1->FindKey<KP>(fp, key, opts);
       if (slot >= 0) {
-        const uint64_t value = b1->record(slot).value;
+        const uint64_t value = b1->LoadValue(slot);
         if (!b1->lock().Verify(v1)) return OpStatus::kRetry;
         *out = value;
         return OpStatus::kOk;
@@ -377,7 +377,7 @@ class Segment {
       const uint32_t vs = s->lock().Snapshot();
       const int slot = s->FindKey<KP>(fp, key, opts);
       if (slot >= 0) {
-        const uint64_t value = s->record(slot).value;
+        const uint64_t value = s->LoadValue(slot);
         if (!s->lock().Verify(vs)) return OpStatus::kRetry;
         *out = value;
         return OpStatus::kOk;
@@ -391,7 +391,7 @@ class Segment {
         const uint32_t vs = s->lock().Snapshot();
         const int slot = s->FindKey<KP>(fp, key, opts);
         if (slot >= 0) {
-          const uint64_t value = s->record(slot).value;
+          const uint64_t value = s->LoadValue(slot);
           if (!s->lock().Verify(vs)) return OpStatus::kRetry;
           *out = value;
           return OpStatus::kOk;

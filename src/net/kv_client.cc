@@ -83,9 +83,8 @@ bool KvClient::Handshake(uint64_t tenant_id, uint32_t weight,
     return false;
   }
   Frame frame;
-  std::vector<uint8_t> storage;
   HelloAckView ack;
-  if (!ReadFrame(&frame, &storage) || !ParseHelloAck(frame, &ack)) {
+  if (!ReadFrame(&frame) || !ParseHelloAck(frame, &ack)) {
     if (error != nullptr) *error = "handshake failed";
     Close();
     return false;
@@ -108,44 +107,38 @@ bool KvClient::WriteAll(const uint8_t* data, size_t len) {
   return true;
 }
 
-bool KvClient::ReadFrame(Frame* frame, std::vector<uint8_t>* storage) {
+bool KvClient::ReadFrame(Frame* frame) {
   for (;;) {
     size_t consumed = 0;
     const DecodeResult r = DecodeFrame(in_.data() + in_off_,
                                        in_.size() - in_off_, frame,
                                        &consumed);
     if (r == DecodeResult::kFrame) {
-      // Detach the frame bytes so the next read can't move the payload
-      // out from under the borrowed span.
-      storage->assign(in_.begin() + static_cast<ptrdiff_t>(in_off_),
-                      in_.begin() +
-                          static_cast<ptrdiff_t>(in_off_ + consumed));
+      // The payload stays borrowed from in_: consumed bytes are only
+      // dropped by the next ReadFrame, so the span is valid until then.
       in_off_ += consumed;
-      if (in_off_ == in_.size()) {
-        in_.clear();
-        in_off_ = 0;
-      }
-      size_t reparse = 0;
-      const DecodeResult check =
-          DecodeFrame(storage->data(), storage->size(), frame, &reparse);
-      return check == DecodeResult::kFrame;
+      return true;
     }
     if (r == DecodeResult::kBad) {
       Close();
       return false;
     }
-    // kNeedMore: pull more bytes off the socket.
+    // kNeedMore: drop the frames already handed out, then pull more
+    // bytes off the socket into uninitialised spare room.
+    if (in_off_ > 0) {
+      in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_off_));
+      in_off_ = 0;
+    }
     constexpr size_t kReadChunk = 64 * 1024;
     const size_t at = in_.size();
     in_.resize(at + kReadChunk);
     const ssize_t n = ::read(fd_, in_.data() + at, kReadChunk);
+    in_.resize(at + (n > 0 ? static_cast<size_t>(n) : 0));
     if (n <= 0) {
-      in_.resize(at);
       if (n < 0 && errno == EINTR) continue;
       Close();
       return false;
     }
-    in_.resize(at + static_cast<size_t>(n));
   }
 }
 
@@ -165,9 +158,8 @@ bool KvClient::Send(const api::Op* ops, size_t count, uint64_t deadline_us,
 
 bool KvClient::Receive(ClientResponse* out) {
   Frame frame;
-  std::vector<uint8_t> storage;
   ResponseView view;
-  if (!ReadFrame(&frame, &storage) || !ParseResponse(frame, &view)) {
+  if (!ReadFrame(&frame) || !ParseResponse(frame, &view)) {
     Close();
     return false;
   }

@@ -76,13 +76,15 @@ class KvClient {
   bool Handshake(uint64_t tenant_id, uint32_t weight, std::string* error);
   bool WriteAll(const uint8_t* data, size_t len);
   // Reads until one whole frame is buffered; false on EOF/error/bad frame.
-  bool ReadFrame(Frame* frame, std::vector<uint8_t>* storage);
+  // The frame's payload borrows from in_ and stays valid until the next
+  // ReadFrame call.
+  bool ReadFrame(Frame* frame);
 
   int fd_ = -1;
   uint64_t next_id_ = 1;
   uint32_t shard_count_ = 0;
   uint32_t max_ops_ = 0;
-  std::vector<uint8_t> in_;
+  RecvBuffer in_;
   size_t in_off_ = 0;
   std::vector<uint8_t> send_buf_;
 };

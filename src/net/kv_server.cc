@@ -26,9 +26,9 @@ void SetNonBlocking(int fd) {
 }  // namespace
 
 // One client connection. The event-loop thread owns every field except
-// the outbound buffer (`out`/`out_off`, guarded by out_mu — completion
-// callbacks append response bytes from shard-worker threads) and the
-// atomic in-flight count.
+// the outbound queue (`out`, guarded by out_mu — completion callbacks
+// append response bytes from shard-worker threads), `wake_queued`
+// (guarded by the server's wake_mu_) and the atomic in-flight count.
 struct KvServer::Conn {
   int fd = -1;
   bool handshaken = false;
@@ -40,22 +40,29 @@ struct KvServer::Conn {
   int64_t deficit = 0;
 
   // Inbound: accumulated unparsed bytes (loop thread only).
-  std::vector<uint8_t> in;
+  RecvBuffer in;
   size_t in_off = 0;
 
   // Admitted requests awaiting DRR submission (loop thread only).
-  std::deque<std::shared_ptr<Request>> admit;
+  std::deque<std::unique_ptr<Request>> admit;
   std::atomic<size_t> in_flight{0};
 
+  // Response frames not yet taken by FlushConn.
   std::mutex out_mu;
   std::vector<uint8_t> out;
-  size_t out_off = 0;
+  // Loop thread only: bytes taken from `out` and not yet written; send()
+  // runs on these without out_mu, so completions never wait on a write.
+  std::vector<uint8_t> sending;
+  size_t sending_off = 0;
+
+  bool wake_queued = false;  // in wake_conns_ (guarded by wake_mu_)
 };
 
 // One admitted request frame: owns the decoded ops and the status slots
 // for the whole submit -> complete -> respond lifetime (the caller-array
-// contract of SubmitExecute). Holds its connection alive so a response
-// for a since-closed connection degrades to an append into a dead buffer.
+// contract of SubmitExecute); the completion callback owns and frees it.
+// Holds its connection alive so a response for a since-closed connection
+// degrades to an append into a dead buffer.
 struct KvServer::Request {
   uint64_t id = 0;
   uint64_t deadline_us = 0;
@@ -186,6 +193,7 @@ void KvServer::Stop() {
     std::lock_guard<std::mutex> lock(wake_mu_);
     wake_conns_.clear();
   }
+  woken_.clear();
   if (uds_fd_ >= 0) {
     ::close(uds_fd_);
     uds_fd_ = -1;
@@ -238,10 +246,11 @@ void KvServer::LoopThread() {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fd_) {
+        // One read drains it: an eventfd read returns and zeroes the
+        // whole counter. Woken conns are flushed below.
         uint64_t drain;
-        while (::read(wake_fd_, &drain, sizeof(drain)) > 0) {
-        }
-        continue;  // woken conns flushed below
+        [[maybe_unused]] ssize_t r = ::read(wake_fd_, &drain, sizeof(drain));
+        continue;
       }
       if (fd == uds_fd_ || fd == tcp_fd_) {
         if (!stopping) AcceptFrom(fd);
@@ -261,28 +270,23 @@ void KvServer::LoopThread() {
         FlushConn(conn);
       }
     }
-    // Drain the completion handoff: flush every connection a callback
-    // touched since the last pass.
-    std::vector<std::shared_ptr<Conn>> woken;
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      woken.swap(wake_conns_);
-    }
-    for (const auto& conn : woken) {
-      if (!conn->closed) FlushConn(conn);
-    }
+    FlushWoken();
     if (!stopping) RunAdmission();
   }
-  // Final drain: responses whose callbacks landed between the last swap
-  // and loop exit.
-  std::vector<std::shared_ptr<Conn>> woken;
+  // Final drain: responses whose callbacks landed after the last pass.
+  FlushWoken();
+}
+
+void KvServer::FlushWoken() {
   {
     std::lock_guard<std::mutex> lock(wake_mu_);
-    woken.swap(wake_conns_);
+    woken_.swap(wake_conns_);  // both keep their capacity
+    for (const auto& conn : woken_) conn->wake_queued = false;
   }
-  for (const auto& conn : woken) {
+  for (const auto& conn : woken_) {
     if (!conn->closed) FlushConn(conn);
   }
+  woken_.clear();
 }
 
 void KvServer::AcceptFrom(int listen_fd) {
@@ -306,23 +310,26 @@ void KvServer::AcceptFrom(int listen_fd) {
 }
 
 void KvServer::ReadConn(const std::shared_ptr<Conn>& conn) {
+  // Reads into uninitialised spare room at the back of `in`. A read that
+  // comes back short of the chunk emptied the socket for now; epoll is
+  // level-triggered, so bytes that arrive later re-arm it, and there is
+  // no need for a further read that ends in EAGAIN.
+  constexpr size_t kReadChunk = 64 * 1024;
   for (;;) {
-    constexpr size_t kReadChunk = 64 * 1024;
     const size_t at = conn->in.size();
     conn->in.resize(at + kReadChunk);
     const ssize_t n = ::read(conn->fd, conn->in.data() + at, kReadChunk);
-    if (n > 0) {
-      conn->in.resize(at + static_cast<size_t>(n));
-      continue;
-    }
-    conn->in.resize(at);
+    conn->in.resize(at + (n > 0 ? static_cast<size_t>(n) : 0));
     if (n == 0) {  // orderly client close
       CloseConn(conn);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConn(conn);
-    return;
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
+      CloseConn(conn);
+      return;
+    }
+    if (static_cast<size_t>(n) < kReadChunk) break;
   }
 
   // Parse every complete frame in the buffer.
@@ -356,10 +363,10 @@ bool KvServer::HandleFrame(const std::shared_ptr<Conn>& conn,
     conn->handshaken = true;
     conn->tenant = hello.tenant_id;
     conn->weight = hello.weight;
-    std::vector<uint8_t> ack;
-    AppendHelloAck(&ack, static_cast<uint32_t>(store_->shard_count()),
-                   kMaxOpsPerRequest);
-    QueueResponse(conn, ack.data(), ack.size());
+    QueueFrame(conn, [this](std::vector<uint8_t>* out) {
+      AppendHelloAck(out, static_cast<uint32_t>(store_->shard_count()),
+                     kMaxOpsPerRequest);
+    });
     FlushConn(conn);
     return true;
   }
@@ -376,7 +383,7 @@ bool KvServer::HandleFrame(const std::shared_ptr<Conn>& conn,
     return true;
   }
 
-  auto req = std::make_shared<Request>();
+  auto req = std::make_unique<Request>();
   req->id = frame.header.request_id;
   req->deadline_us = request.deadline_us;
   req->conn = conn;
@@ -419,7 +426,7 @@ void KvServer::RunAdmission() {
           static_cast<int64_t>(front->ops.empty() ? 1 : front->ops.size());
       if (cost > conn->deficit) break;
       conn->deficit -= cost;
-      std::shared_ptr<Request> req = conn->admit.front();
+      std::unique_ptr<Request> req = std::move(conn->admit.front());
       conn->admit.pop_front();
       SubmitRequest(std::move(req));
     }
@@ -432,33 +439,35 @@ void KvServer::RunAdmission() {
   }
 }
 
-void KvServer::SubmitRequest(std::shared_ptr<Request> request) {
-  Request* req = request.get();
-  const size_t count = req->ops.size();
+void KvServer::SubmitRequest(std::unique_ptr<Request> request) {
+  const size_t count = request->ops.size();
   if (count == 0) {
     // Empty batch: answer immediately, nothing to run.
-    std::vector<uint8_t> frame;
-    AppendResponse(&frame, req->id, nullptr, nullptr, 0, 0);
+    QueueFrame(request->conn, [&](std::vector<uint8_t>* out) {
+      AppendResponse(out, request->id, nullptr, nullptr, 0, 0);
+    });
     s_responses_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(req->conn, frame.data(), frame.size());
-    FlushConn(req->conn);
+    FlushConn(request->conn);
     return;
   }
-  req->conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
+  request->conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   api::SubmitOptions submit;
-  if (req->deadline_us != 0) {
-    submit.deadline = std::chrono::microseconds(req->deadline_us);
+  if (request->deadline_us != 0) {
+    submit.deadline = std::chrono::microseconds(request->deadline_us);
   }
   api::BatchFuture future = store_->SubmitExecute(
-      req->ops.data(), count, req->statuses.data(), submit);
+      request->ops.data(), count, request->statuses.data(), submit);
   // Completion-queue delivery: the last shard's gather runs this on its
-  // worker thread (or right here when the future is born ready).
+  // worker thread (or right here when the future is born ready). The
+  // callback takes ownership; two pointers fit std::function's inline
+  // storage, so registering it allocates nothing.
+  Request* req = request.release();
   future.OnReady(
-      [this, request = std::move(request)] { OnRequestDone(request); });
+      [this, req] { OnRequestDone(std::unique_ptr<Request>(req)); });
 }
 
-void KvServer::OnRequestDone(const std::shared_ptr<Request>& request) {
+void KvServer::OnRequestDone(std::unique_ptr<Request> request) {
   const size_t count = request->ops.size();
   std::vector<uint64_t> values(count);
   bool unavailable = false;
@@ -471,67 +480,85 @@ void KvServer::OnRequestDone(const std::shared_ptr<Request>& request) {
   }
   const uint32_t retry_after_us =
       unavailable ? options_.retry_after_us : 0;
-  std::vector<uint8_t> frame;
-  AppendResponse(&frame, request->id, request->statuses.data(),
-                 values.data(), count, retry_after_us);
+  QueueFrame(request->conn, [&](std::vector<uint8_t>* out) {
+    AppendResponse(out, request->id, request->statuses.data(),
+                   values.data(), count, retry_after_us);
+  });
   s_responses_.fetch_add(1, std::memory_order_relaxed);
   if (retry_after_us != 0) {
     s_retry_.fetch_add(1, std::memory_order_relaxed);
   }
-  QueueResponse(request->conn, frame.data(), frame.size());
   NotifyWritable(request->conn);
   request->conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  // Last: once in_flight_ reaches zero Stop() may tear the server down.
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  Wake();
 }
 
 void KvServer::RespondAllFailed(const std::shared_ptr<Conn>& conn,
                                 uint64_t id, size_t count,
                                 api::Status status) {
   std::vector<api::Status> statuses(count, status);
-  std::vector<uint8_t> frame;
-  AppendResponse(&frame, id, statuses.data(), nullptr, count,
-                 options_.retry_after_us);
+  QueueFrame(conn, [&](std::vector<uint8_t>* out) {
+    AppendResponse(out, id, statuses.data(), nullptr, count,
+                   options_.retry_after_us);
+  });
   s_responses_.fetch_add(1, std::memory_order_relaxed);
   s_retry_.fetch_add(1, std::memory_order_relaxed);
-  QueueResponse(conn, frame.data(), frame.size());
   FlushConn(conn);
 }
 
-void KvServer::QueueResponse(const std::shared_ptr<Conn>& conn,
-                             const uint8_t* data, size_t len) {
+template <typename Encode>
+void KvServer::QueueFrame(const std::shared_ptr<Conn>& conn,
+                          Encode encode) {
   std::lock_guard<std::mutex> lock(conn->out_mu);
-  conn->out.insert(conn->out.end(), data, data + len);
+  encode(&conn->out);
 }
 
 void KvServer::NotifyWritable(const std::shared_ptr<Conn>& conn) {
-  std::lock_guard<std::mutex> lock(wake_mu_);
-  wake_conns_.push_back(conn);
+  bool first = false;
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    if (conn->wake_queued) return;  // a flush is already due after this
+    conn->wake_queued = true;
+    first = wake_conns_.empty();
+    wake_conns_.push_back(conn);
+  }
+  // Coalesced wake: only the completion that makes the list non-empty
+  // writes the eventfd; the rest ride the loop pass it triggers.
+  if (first) Wake();
 }
 
 void KvServer::FlushConn(const std::shared_ptr<Conn>& conn) {
-  std::lock_guard<std::mutex> lock(conn->out_mu);
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->sending_off == conn->sending.size()) {
+      conn->sending.clear();
+      conn->sending_off = 0;
+      conn->sending.swap(conn->out);
+    } else {
+      conn->sending.insert(conn->sending.end(), conn->out.begin(),
+                           conn->out.end());
+      conn->out.clear();
+    }
+  }
   bool blocked = false;
-  while (conn->out_off < conn->out.size()) {
+  while (conn->sending_off < conn->sending.size()) {
     const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_off,
-               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+        ::send(conn->fd, conn->sending.data() + conn->sending_off,
+               conn->sending.size() - conn->sending_off, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_off += static_cast<size_t>(n);
+      conn->sending_off += static_cast<size_t>(n);
       continue;
     }
+    if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       blocked = true;
       break;
     }
     // Hard write error: the reader side will observe HUP and close.
-    conn->out.clear();
-    conn->out_off = 0;
+    conn->sending.clear();
+    conn->sending_off = 0;
     return;
-  }
-  if (conn->out_off == conn->out.size()) {
-    conn->out.clear();
-    conn->out_off = 0;
   }
   if (blocked != conn->epollout) {
     conn->epollout = blocked;

@@ -119,16 +119,21 @@ class KvServer {
   // One decoded frame; false = protocol error, close the connection.
   bool HandleFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   void RunAdmission();
-  void SubmitRequest(std::shared_ptr<Request> request);
-  void OnRequestDone(const std::shared_ptr<Request>& request);
+  void SubmitRequest(std::unique_ptr<Request> request);
+  void OnRequestDone(std::unique_ptr<Request> request);
   // Immediate failure response without touching the store (pipeline cap).
   void RespondAllFailed(const std::shared_ptr<Conn>& conn, uint64_t id,
                         size_t count, api::Status status);
-  void QueueResponse(const std::shared_ptr<Conn>& conn,
-                     const uint8_t* data, size_t len);
+  // Runs encode(&conn->out) under the connection's out_mu.
+  template <typename Encode>
+  void QueueFrame(const std::shared_ptr<Conn>& conn, Encode encode);
+  // Queues `conn` for the loop's next flush pass, waking the loop when the
+  // queue was empty.
   void NotifyWritable(const std::shared_ptr<Conn>& conn);
-  // Event-loop thread only: writes as much of conn->out as the socket
-  // accepts, arming EPOLLOUT on a partial write.
+  // Event-loop thread only: flushes every queued connection.
+  void FlushWoken();
+  // Event-loop thread only: writes as much of conn's queued output as the
+  // socket accepts, arming EPOLLOUT on a partial write.
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void Wake();
@@ -154,10 +159,12 @@ class KvServer {
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   std::deque<std::shared_ptr<Conn>> drr_ring_;
 
-  // Completion-to-loop handoff: callbacks append the connection here and
-  // signal wake_fd_; the loop flushes them.
+  // Completion-to-loop handoff: callbacks append the connection here
+  // (once until the loop takes it) and the one that finds the list empty
+  // signals wake_fd_; the loop swaps the list into woken_ and flushes.
   std::mutex wake_mu_;
   std::vector<std::shared_ptr<Conn>> wake_conns_;
+  std::vector<std::shared_ptr<Conn>> woken_;  // loop thread only
 
   // stats (relaxed increments, snapshot reads)
   std::atomic<uint64_t> s_accepted_{0}, s_closed_{0}, s_bad_{0},

@@ -45,6 +45,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "api/status.h"
@@ -94,8 +96,30 @@ inline constexpr size_t kResponseOpBytes = 9;
 inline constexpr size_t kMaxPayload =
     16 + kRequestOpBytes * static_cast<size_t>(kMaxOpsPerRequest);
 
-// CRC32C (Castagnoli), table-driven software implementation.
+// CRC32C (Castagnoli). Uses the SSE4.2 crc32 instruction when the CPU has
+// it (checked once at run time) and a table-driven loop otherwise; both
+// produce the same values.
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed = 0);
+
+// Receive buffer: a byte vector whose resize() leaves the new bytes
+// uninitialised, so growing it ahead of a read() costs no memset of bytes
+// the kernel is about to overwrite. Only value-initialisation changes:
+// construction with arguments falls back to std::allocator_traits.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+using RecvBuffer = std::vector<uint8_t, UninitAllocator<uint8_t>>;
 
 // ---- encoding ----
 // Appenders serialize one complete frame (header + payload + CRC) onto

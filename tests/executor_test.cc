@@ -3,7 +3,11 @@
 // shutdown contract — CloseClean drains queued work, rejects new
 // submissions with kInvalidArgument, and joins the workers.
 
+#include <pthread.h>
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -13,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/executor.h"
 #include "api/sharded_store.h"
 #include "test_util.h"
 #include "util/rand.h"
@@ -366,6 +371,55 @@ TEST(ExecutorTest, PinnedWorkersStillCorrect) {
     ASSERT_EQ(got[i], values[i]);
   }
   store->CloseClean();
+}
+
+// A pinned worker polls its empty queue for a bounded moment before it
+// blocks, so an idle store's pinned workers use next to no CPU.
+TEST(ExecutorTest, IdlePinnedWorkersStayOffTheCpu) {
+  test::TempPoolFile file("exec_idle_spin");
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs[2];
+  auto index = CreateKvIndex(IndexKind::kDashEH, pool.get(), &epochs[0],
+                             DashOptions{});
+  ASSERT_NE(index, nullptr);
+  ExecutorOptions options;
+  options.pin_workers = true;
+  ShardExecutor executor({{index.get(), &epochs[0]}, {index.get(), &epochs[1]}},
+                         options);
+  // One item per shard first, so each worker has gone idle after work.
+  auto stats = std::make_shared<internal::StatsState>();
+  stats->per_shard.resize(2);
+  stats->pending.store(2);
+  for (uint32_t s = 0; s < 2; ++s) {
+    ShardExecutor::WorkItem item;
+    item.kind = ShardExecutor::WorkItem::Kind::kStats;
+    item.shard = s;
+    item.stats = stats;
+    ASSERT_TRUE(executor.Submit(std::move(item)));
+  }
+  stats->Wait();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto cpu_ns = [&](size_t s) {
+    clockid_t clock;
+    EXPECT_EQ(pthread_getcpuclockid(executor.worker_handle(s), &clock), 0);
+    timespec ts{};
+    clock_gettime(clock, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+  };
+  const int64_t before[2] = {cpu_ns(0), cpu_ns(1)};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  for (size_t s = 0; s < 2; ++s) {
+    const int64_t used = cpu_ns(s) - before[s];
+    EXPECT_LT(used, wall_ns / 10)
+        << "idle pinned worker " << s << " used " << used << " ns of CPU";
+  }
+  executor.Stop();
 }
 
 // Open/close churn: worker threads release their dense thread ids on

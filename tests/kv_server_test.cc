@@ -405,6 +405,130 @@ TEST(KvServerTest, ExecuteRetriesShedOpsUntilTheyLand) {
   store->CloseClean();
 }
 
+// A maximum-size request (4096 ops, a 69.6 KB frame) is larger than the
+// server's 64 KiB read chunk, so it only decodes once a second read has
+// appended the rest of it.
+TEST(KvServerTest, MaxSizeRequestSpansReadChunks) {
+  TempShardPaths paths("srv_big", 2);
+  auto store = OpenStore(paths, 2);
+  ASSERT_NE(store, nullptr);
+  ServerOptions options;
+  options.uds_path = TestUdsPath("big");
+  KvServer server(store.get(), options);
+  ASSERT_TRUE(server.Start());
+  KvClient client;
+  ASSERT_TRUE(client.ConnectUds(options.uds_path));
+
+  constexpr size_t kOps = kMaxOpsPerRequest;
+  ASSERT_GT(kHeaderSize + 16 + kRequestOpBytes * kOps, 64u * 1024);
+  std::vector<api::Op> ops(kOps);
+  for (size_t i = 0; i < kOps; ++i) ops[i] = api::Op::Insert(i + 1, i * 7);
+  ClientResponse response;
+  ASSERT_TRUE(client.Execute(ops.data(), kOps, 0, &response));
+  ASSERT_EQ(response.statuses.size(), kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    ASSERT_EQ(response.statuses[i], api::Status::kOk) << "op " << i;
+  }
+  for (size_t i = 0; i < kOps; ++i) ops[i] = api::Op::Search(i + 1);
+  ASSERT_TRUE(client.Execute(ops.data(), kOps, 0, &response));
+  ASSERT_EQ(response.values.size(), kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    ASSERT_EQ(response.statuses[i], api::Status::kOk) << "op " << i;
+    ASSERT_EQ(response.values[i], i * 7) << "op " << i;
+  }
+  EXPECT_EQ(server.stats().frames_bad, 0u);
+  server.Stop();
+  store->CloseClean();
+}
+
+// Pipelined frames written to the socket one byte per send(): the server
+// sees frames split at every offset, header included, and must answer
+// each exactly once.
+TEST(KvServerTest, PipelinedFramesArrivingByteByByte) {
+  TempShardPaths paths("srv_drip", 2);
+  auto store = OpenStore(paths, 2);
+  ASSERT_NE(store, nullptr);
+  ServerOptions options;
+  options.uds_path = TestUdsPath("drip");
+  KvServer server(store.get(), options);
+  ASSERT_TRUE(server.Start());
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.uds_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  constexpr int kFrames = 8;
+  constexpr size_t kOpsPer = 4;
+  std::vector<uint8_t> bytes;
+  AppendHello(&bytes, 1, 1);
+  for (int r = 0; r < kFrames; ++r) {
+    api::Op ops[kOpsPer];
+    for (size_t i = 0; i < kOpsPer; ++i) {
+      const uint64_t key = static_cast<uint64_t>(r) * kOpsPer + i + 1;
+      ops[i] = api::Op::Insert(key, key * 11);
+    }
+    AppendRequest(&bytes, static_cast<uint64_t>(r) + 1, ops, kOpsPer, 0);
+  }
+  for (const uint8_t byte : bytes) {
+    ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+  }
+
+  std::vector<uint8_t> in;
+  size_t in_off = 0;
+  // Returns the next whole frame from the socket.
+  const auto next_frame = [&](Frame* frame) {
+    for (;;) {
+      size_t consumed = 0;
+      const DecodeResult dr = DecodeFrame(in.data() + in_off,
+                                          in.size() - in_off, frame,
+                                          &consumed);
+      if (dr == DecodeResult::kFrame) {
+        in_off += consumed;
+        return true;
+      }
+      if (dr == DecodeResult::kBad) return false;
+      uint8_t chunk[4096];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) return false;
+      in.insert(in.end(), chunk, chunk + n);
+    }
+  };
+  Frame frame;
+  HelloAckView ack;
+  ASSERT_TRUE(next_frame(&frame));
+  ASSERT_TRUE(ParseHelloAck(frame, &ack));
+  std::vector<int> answered(kFrames, 0);
+  for (int r = 0; r < kFrames; ++r) {
+    ASSERT_TRUE(next_frame(&frame)) << "connection dropped";
+    ResponseView view;
+    ASSERT_TRUE(ParseResponse(frame, &view));
+    ASSERT_GE(frame.header.request_id, 1u);
+    ASSERT_LE(frame.header.request_id, static_cast<uint64_t>(kFrames));
+    ++answered[frame.header.request_id - 1];
+    ASSERT_EQ(view.count, kOpsPer);
+    for (size_t i = 0; i < kOpsPer; ++i) {
+      api::Status status;
+      uint64_t value;
+      ASSERT_TRUE(DecodeResponseEntry(view, i, &status, &value));
+      EXPECT_EQ(status, api::Status::kOk);
+    }
+  }
+  for (int r = 0; r < kFrames; ++r) EXPECT_EQ(answered[r], 1) << "id " << r;
+  ::close(fd);
+  uint64_t value = 0;
+  for (uint64_t key = 1; key <= kFrames * kOpsPer; ++key) {
+    ASSERT_EQ(store->Search(key, &value), api::Status::kOk) << key;
+    EXPECT_EQ(value, key * 11);
+  }
+  EXPECT_EQ(server.stats().frames_bad, 0u);
+  server.Stop();
+  store->CloseClean();
+}
+
 // The per-connection pipeline cap bounces the overflow request with
 // kUnavailable + retry-after immediately (it never reaches the store),
 // and the connection keeps working.

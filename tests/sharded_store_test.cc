@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -739,6 +740,99 @@ TEST(ShardedStoreTest, RecoveryReportCoversAllShards) {
     }
     store->CloseClean();
   }
+}
+
+// A dirty reopen recovers every shard on its own thread, and each records
+// its outcome in the shared report. Regression: the per-shard "recovered"
+// flags were written from those threads straight into a vector<bool>,
+// where neighbouring shards share a word (a data race under TSan).
+TEST(ShardedStoreTest, DirtyParallelReopenReportsEveryShardRecovered) {
+  TempShardPaths paths("store_dirty_par", 4);
+  constexpr uint64_t kKeys = 2000;
+  {
+    auto store = ShardedStore::Open(SmallStoreOptions(paths.prefix(), 4));
+    ASSERT_NE(store, nullptr);
+    for (uint64_t k = 1; k <= kKeys; ++k) {
+      ASSERT_EQ(store->Insert(k, k * 3), Status::kOk);
+    }
+    // Destroyed without CloseClean: every shard's pool stays dirty.
+  }
+  ShardedStoreOptions options = SmallStoreOptions(paths.prefix(), 4);
+  options.recovery_threads = 4;
+  auto store = ShardedStore::Open(options);
+  ASSERT_NE(store, nullptr);
+  const RecoveryReport& report = store->recovery_report();
+  EXPECT_EQ(report.threads, 4u);
+  ASSERT_EQ(report.shard_recovered.size(), 4u);
+  EXPECT_TRUE(report.quarantined.empty());
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_TRUE(report.shard_recovered[s]) << "dirty close, shard " << s;
+  }
+  uint64_t value = 0;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_EQ(store->Search(k, &value), Status::kOk) << "key " << k;
+    ASSERT_EQ(value, k * 3);
+  }
+  store->CloseClean();
+}
+
+// Stats() totals carry every per-shard counter: a sharded hybrid store
+// that compacted reports the sum of its shards' compaction, log-footprint
+// and lock counters, not zeros.
+TEST(ShardedStoreTest, StatsTotalsSumEveryShardCounter) {
+  TempShardPaths paths("store_agg", 2);
+  ShardedStoreOptions options = SmallStoreOptions(paths.prefix(), 2);
+  options.kind = IndexKind::kHybrid;
+  options.table.compaction_trigger = 0.1;
+  options.async.workers = false;  // compaction driven from this thread
+  auto store = ShardedStore::Open(options);
+  ASSERT_NE(store, nullptr);
+  constexpr uint64_t kKeys = 6000;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_EQ(store->Insert(k, k), Status::kOk);
+  }
+  // Shrink the live set so the logs hold reclaimable chunks.
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    if (k % 4 != 0) ASSERT_EQ(store->Delete(k), Status::kOk);
+  }
+  for (size_t s = 0; s < 2; ++s) {
+    while (store->shard(s)->Compact()) {
+    }
+  }
+
+  IndexStats sum;
+  double worst_dead_ratio = 0.0;
+  for (size_t s = 0; s < 2; ++s) {
+    const IndexStats st = store->shard(s)->Stats();
+    sum.records += st.records;
+    sum.bucket_lock_acquisitions += st.bucket_lock_acquisitions;
+    sum.bucket_lock_contended_spins += st.bucket_lock_contended_spins;
+    sum.log_dead_slots += st.log_dead_slots;
+    sum.compactions += st.compactions;
+    sum.compaction_chunks_reclaimed += st.compaction_chunks_reclaimed;
+    sum.compaction_bytes_rewritten += st.compaction_bytes_rewritten;
+    sum.log_chunks += st.log_chunks;
+    sum.log_chunk_bytes += st.log_chunk_bytes;
+    worst_dead_ratio = std::max(worst_dead_ratio, st.compaction_dead_ratio);
+  }
+  ASSERT_GT(sum.compactions, 0u) << "the churn never triggered compaction";
+  ASSERT_GT(sum.log_chunk_bytes, 0u);
+
+  const IndexStats totals = store->Stats().totals;
+  EXPECT_EQ(totals.records, kKeys / 4);
+  EXPECT_EQ(totals.records, sum.records);
+  EXPECT_EQ(totals.bucket_lock_acquisitions, sum.bucket_lock_acquisitions);
+  EXPECT_EQ(totals.bucket_lock_contended_spins,
+            sum.bucket_lock_contended_spins);
+  EXPECT_EQ(totals.log_dead_slots, sum.log_dead_slots);
+  EXPECT_EQ(totals.compactions, sum.compactions);
+  EXPECT_EQ(totals.compaction_chunks_reclaimed,
+            sum.compaction_chunks_reclaimed);
+  EXPECT_EQ(totals.compaction_bytes_rewritten, sum.compaction_bytes_rewritten);
+  EXPECT_EQ(totals.log_chunks, sum.log_chunks);
+  EXPECT_EQ(totals.log_chunk_bytes, sum.log_chunk_bytes);
+  EXPECT_EQ(totals.compaction_dead_ratio, worst_dead_ratio);
+  store->CloseClean();
 }
 
 }  // namespace
