@@ -10,22 +10,20 @@
 // speedup summary line per table) for the perf trajectory.
 //
 // Flags: --preload=N --ops=M --batch=B (defaults 3M / 2M / 16) plus the
-// common --pool-gb/--pool-dir flags. --pipeline={group,amac,both}
-// (default both) A/B-tests the PR-1 group pipeline against the
-// state-machine AMAC engine on the same tables; AMAC measurements carry
-// the engine's per-state suspend/resume counters in their JSON lines.
+// common --pool-gb/--pool-dir flags. Batch measurements carry the AMAC
+// engine's per-state suspend/resume counters in their JSON lines.
 // Every per-table measurement also carries the read-path lock telemetry
 // deltas (optimistic retries, version conflicts, exclusive lock
 // acquisitions — IndexStats), which is how "searches write no lock word"
 // is observable: search-only phases report "write_locks":0.
 // --check-speedup=X exits non-zero if any table's batch search speedup
-// over single-op falls below X on the selected pipeline (CI gate).
+// over single-op falls below X (CI gate).
 //
 // --workload={a,b,c,d,f} switches to the YCSB-style mixed mode instead:
 // 50/50 (a), 95/5 (b), 100/0 (c) search/update, 95/5 read-latest/insert
 // (d), or 50/50 read/RMW (f) over a zipfian key choice
 // (theta 0.99) against the preloaded table, run at each --threads value,
-// single-op loop vs MultiExecute descriptor batches per pipeline. This
+// single-op loop vs MultiExecute descriptor batches. This
 // measures the optimistic read path under write contention rather than
 // in a pure search phase.
 // --shards=N (N >= 1) switches to the ShardedStore facade: the same key
@@ -73,13 +71,9 @@ namespace {
 
 constexpr size_t kMaxBatch = 256;
 
-const char* PipelineName(BatchPipeline p) {
-  return p == BatchPipeline::kAmac ? "amac" : "group";
-}
-
 // One JSON fragment with the AMAC engine's per-op suspend/resume
-// telemetry (drained between phases; empty for the group pipeline, whose
-// measurements carry no counters).
+// telemetry (drained between phases; empty when no op ran through a
+// suspending engine, e.g. Level's writes).
 std::string TelemetryJson(const util::AmacTelemetry& t) {
   if (t.ops == 0) return "";
   char buf[512];
@@ -301,17 +295,14 @@ PhaseResult WorkloadBatchPhase(api::KvIndex* table, uint64_t ops,
 void PrintJson(const std::string& table, const std::string& op,
                const std::string& mode, size_t batch,
                const PhaseResult& result, size_t shards = 0,
-               const std::string& pipeline = "",
                const std::string& extra = "", int threads = 1) {
-  const std::string pipeline_field =
-      pipeline.empty() ? "" : "\"pipeline\":\"" + pipeline + "\",";
   std::printf(
       "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"op\":\"%s\","
-      "\"mode\":\"%s\",%s\"batch\":%zu,\"threads\":%d,\"shards\":%zu,"
+      "\"mode\":\"%s\",\"batch\":%zu,\"threads\":%d,\"shards\":%zu,"
       "\"mops\":%.4f,"
       "\"reads_per_op\":%.2f,\"clwb_per_op\":%.2f%s}\n",
-      table.c_str(), op.c_str(), mode.c_str(), pipeline_field.c_str(),
-      batch, threads, shards, result.mops, result.reads_per_op,
+      table.c_str(), op.c_str(), mode.c_str(), batch, threads, shards,
+      result.mops, result.reads_per_op,
       result.clwb_per_op, extra.c_str());
   std::fflush(stdout);
 }
@@ -338,12 +329,11 @@ bool ResolveWorkload(const std::string& workload, WorkloadSpec* spec) {
 
 // The --workload={a,b,c,d,f} mode: for every table, at every --threads
 // value, run the zipfian mix once through the single-op loop and once
-// through MultiExecute descriptor batches per pipeline. JSON lines carry
+// through MultiExecute descriptor batches. JSON lines carry
 // the lock-telemetry deltas, so the contention behaviour of the
 // optimistic read path (retries/conflicts vs exclusive acquisitions) is
 // recorded alongside throughput.
 int RunWorkloadMode(const std::string& workload,
-                    const std::vector<BatchPipeline>& pipelines,
                     const std::string& only_table, uint64_t preload,
                     uint64_t ops, size_t batch, const BenchConfig& config) {
   WorkloadSpec spec;
@@ -374,29 +364,24 @@ int RunWorkloadMode(const std::string& workload,
           table, ops, threads, spec, zipf_proto, &max_key);
       LockCounters lc1 = SnapshotLockCounters(table);
       PrintRow("bench_batch", name, opname + "-single", threads, single);
-      PrintJson(name, opname, "single", 1, single, 0, "", LockJson(lc0, lc1),
+      PrintJson(name, opname, "single", 1, single, 0, LockJson(lc0, lc1),
                 threads);
-      for (BatchPipeline p : pipelines) {
-        const char* pname = PipelineName(p);
-        table->SetBatchPipeline(p);
-        util::AmacTelemetry::DrainAll();
-        lc0 = SnapshotLockCounters(table);
-        const PhaseResult batched = WorkloadBatchPhase(
-            table, ops, threads, spec, batch, zipf_proto, &max_key);
-        lc1 = SnapshotLockCounters(table);
-        const auto tele = util::AmacTelemetry::DrainAll();
-        PrintRow("bench_batch", name,
-                 opname + "-batch-" + pname, threads, batched);
-        PrintJson(name, opname, "batch", batch, batched, 0, pname,
-                  TelemetryJson(tele) + LockJson(lc0, lc1), threads);
-        std::printf(
-            "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"workload\":"
-            "\"%s\",\"pipeline\":\"%s\",\"threads\":%d,\"batch\":%zu,"
-            "\"read_pct\":%d,\"mixed_speedup_vs_single\":%.3f}\n",
-            name.c_str(), workload.c_str(), pname, threads, batch,
-            spec.read_pct, batched.mops / single.mops);
-        std::fflush(stdout);
-      }
+      util::AmacTelemetry::DrainAll();
+      lc0 = SnapshotLockCounters(table);
+      const PhaseResult batched = WorkloadBatchPhase(
+          table, ops, threads, spec, batch, zipf_proto, &max_key);
+      lc1 = SnapshotLockCounters(table);
+      const auto tele = util::AmacTelemetry::DrainAll();
+      PrintRow("bench_batch", name, opname + "-batch", threads, batched);
+      PrintJson(name, opname, "batch", batch, batched, 0,
+                TelemetryJson(tele) + LockJson(lc0, lc1), threads);
+      std::printf(
+          "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"workload\":"
+          "\"%s\",\"threads\":%d,\"batch\":%zu,"
+          "\"read_pct\":%d,\"mixed_speedup_vs_single\":%.3f}\n",
+          name.c_str(), workload.c_str(), threads, batch, spec.read_pct,
+          batched.mops / single.mops);
+      std::fflush(stdout);
     }
   }
   return 0;
@@ -914,7 +899,6 @@ int main(int argc, char** argv) {
   bool has_threads_flag = false;
   std::string only_table;
   std::string json_out = "BENCH_async.json";
-  std::string pipeline_arg = "both";
   std::string workload_arg;
   uint64_t churn_mult = 0;  // 0 = churn mode off
   double check_speedup = 0.0;
@@ -941,8 +925,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--kind=", 7) == 0) {
       // Alias for --table=, matching bench_serving's spelling.
       only_table = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--pipeline=", 11) == 0) {
-      pipeline_arg = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--workload=", 11) == 0) {
       workload_arg = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--churn=", 8) == 0) {
@@ -955,23 +937,9 @@ int main(int argc, char** argv) {
       check_vs_arg = argv[i] + 11;
     }
   }
-  std::vector<BatchPipeline> pipelines;
-  if (pipeline_arg == "group") {
-    pipelines = {BatchPipeline::kGroup};
-  } else if (pipeline_arg == "amac") {
-    pipelines = {BatchPipeline::kAmac};
-  } else if (pipeline_arg == "both") {
-    pipelines = {BatchPipeline::kGroup, BatchPipeline::kAmac};
-  } else {
-    std::fprintf(stderr, "unknown --pipeline=%s (group|amac|both)\n",
-                 pipeline_arg.c_str());
-    return 1;
-  }
-  // The gated pipeline: the explicitly selected one, amac under "both".
-  const BatchPipeline gated = pipelines.back();
   // --check-vs=BASE:RATIO — a cross-table gate: every other table's
-  // gated-pipeline batch search throughput must be >= RATIO x the BASE
-  // table's. BASE always runs, even under --table=/--kind=.
+  // batch search throughput must be >= RATIO x the BASE table's. BASE
+  // always runs, even under --table=/--kind=.
   std::string check_vs_base;
   double check_vs_ratio = 0.0;
   if (!check_vs_arg.empty()) {
@@ -1027,8 +995,8 @@ int main(int argc, char** argv) {
                    "--shards/--threads\n");
       return 1;
     }
-    return RunWorkloadMode(workload_arg, pipelines, only_table, preload,
-                           ops, batch, config);
+    return RunWorkloadMode(workload_arg, only_table, preload, ops, batch,
+                           config);
   }
 
   // --shards=N --threads=K: the async serving mode (multi-client
@@ -1095,8 +1063,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::vector<std::string> gate_failures;
-  // Gated-pipeline batch-search Mops per table, for --check-vs.
-  std::vector<std::pair<std::string, double>> gated_search_mops;
+  // Batch-search Mops per table, for --check-vs.
+  std::vector<std::pair<std::string, double>> search_mops;
   for (api::IndexKind kind :
        {api::IndexKind::kDashEH, api::IndexKind::kDashLH,
         api::IndexKind::kCCEH, api::IndexKind::kLevel,
@@ -1108,11 +1076,11 @@ int main(int argc, char** argv) {
     }
     DashOptions options;
 
-    // Searches do not mutate the table, so the single-op baseline and
-    // every pipeline's batch phase share one table (identical key
-    // stream, identical layout).
+    // Searches do not mutate the table, so the single-op baseline and the
+    // batch phase share one table (identical key stream, identical
+    // layout).
     PhaseResult single_search;
-    std::vector<PhaseResult> batch_search(pipelines.size());
+    PhaseResult batch_search;
     {
       TableHandle handle = MakeTable(kind, config, options);
       Preload(handle.table.get(), preload, /*threads=*/1);
@@ -1123,30 +1091,25 @@ int main(int argc, char** argv) {
       PrintRow("bench_batch", name, "search-single", 1, single_search);
       // Search-only phase: on the optimistic tables the write_locks
       // delta here must be zero (no lock-word writes on the read path).
-      PrintJson(name, "search", "single", 1, single_search, 0, "",
+      PrintJson(name, "search", "single", 1, single_search, 0,
                 LockJson(lc0, lc1));
 
-      for (size_t m = 0; m < pipelines.size(); ++m) {
-        const char* pname = PipelineName(pipelines[m]);
-        handle.table->SetBatchPipeline(pipelines[m]);
-        util::AmacTelemetry::DrainAll();
-        lc0 = SnapshotLockCounters(handle.table.get());
-        batch_search[m] =
-            BatchSearchPhase(handle.table.get(), preload, ops, batch);
-        lc1 = SnapshotLockCounters(handle.table.get());
-        const auto tele = util::AmacTelemetry::DrainAll();
-        PrintRow("bench_batch", name,
-                 std::string("search-batch-") + pname, 1, batch_search[m]);
-        PrintJson(name, "search", "batch", batch, batch_search[m], 0, pname,
-                  TelemetryJson(tele) + LockJson(lc0, lc1));
-      }
+      util::AmacTelemetry::DrainAll();
+      lc0 = SnapshotLockCounters(handle.table.get());
+      batch_search =
+          BatchSearchPhase(handle.table.get(), preload, ops, batch);
+      lc1 = SnapshotLockCounters(handle.table.get());
+      const auto tele = util::AmacTelemetry::DrainAll();
+      PrintRow("bench_batch", name, "search-batch", 1, batch_search);
+      PrintJson(name, "search", "batch", batch, batch_search, 0,
+                TelemetryJson(tele) + LockJson(lc0, lc1));
     }
 
-    // Fresh-key inserts: a fresh preloaded table per mode, so every mode
-    // starts from the same load factor and hits the same split/resize
+    // Fresh-key inserts: a fresh preloaded table per mode, so both modes
+    // start from the same load factor and hit the same split/resize
     // schedule.
     PhaseResult single_insert;
-    std::vector<PhaseResult> batch_insert(pipelines.size());
+    PhaseResult batch_insert;
     {
       TableHandle handle = MakeTable(kind, config, options);
       Preload(handle.table.get(), preload, /*threads=*/1);
@@ -1154,52 +1117,41 @@ int main(int argc, char** argv) {
       PrintRow("bench_batch", name, "insert-single", 1, single_insert);
       PrintJson(name, "insert", "single", 1, single_insert);
     }
-    for (size_t m = 0; m < pipelines.size(); ++m) {
-      const char* pname = PipelineName(pipelines[m]);
+    {
       TableHandle handle = MakeTable(kind, config, options);
-      handle.table->SetBatchPipeline(pipelines[m]);
       Preload(handle.table.get(), preload, /*threads=*/1);
       util::AmacTelemetry::DrainAll();
       const LockCounters lc0 = SnapshotLockCounters(handle.table.get());
-      batch_insert[m] =
+      batch_insert =
           BatchInsertPhase(handle.table.get(), preload, insert_ops, batch);
       const LockCounters lc1 = SnapshotLockCounters(handle.table.get());
       const auto tele = util::AmacTelemetry::DrainAll();
-      PrintRow("bench_batch", name, std::string("insert-batch-") + pname, 1,
-               batch_insert[m]);
-      PrintJson(name, "insert", "batch", batch, batch_insert[m], 0, pname,
+      PrintRow("bench_batch", name, "insert-batch", 1, batch_insert);
+      PrintJson(name, "insert", "batch", batch, batch_insert, 0,
                 TelemetryJson(tele) + LockJson(lc0, lc1));
     }
 
-    for (size_t m = 0; m < pipelines.size(); ++m) {
-      if (pipelines[m] == gated) {
-        gated_search_mops.emplace_back(name, batch_search[m].mops);
-      }
-      const double search_speedup =
-          batch_search[m].mops / single_search.mops;
-      std::printf(
-          "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"pipeline\":\"%s\","
-          "\"batch\":%zu,\"search_speedup_vs_single\":%.3f,"
-          "\"insert_speedup_vs_single\":%.3f}\n",
-          name.c_str(), PipelineName(pipelines[m]), batch, search_speedup,
-          batch_insert[m].mops / single_insert.mops);
-      std::fflush(stdout);
-      if (check_speedup > 0 && pipelines[m] == gated &&
-          search_speedup < check_speedup) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s %s search %.3fx < %.3fx",
-                      name.c_str(), PipelineName(pipelines[m]),
-                      search_speedup, check_speedup);
-        gate_failures.push_back(buf);
-      }
+    search_mops.emplace_back(name, batch_search.mops);
+    const double search_speedup = batch_search.mops / single_search.mops;
+    std::printf(
+        "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"batch\":%zu,"
+        "\"search_speedup_vs_single\":%.3f,"
+        "\"insert_speedup_vs_single\":%.3f}\n",
+        name.c_str(), batch, search_speedup,
+        batch_insert.mops / single_insert.mops);
+    std::fflush(stdout);
+    if (check_speedup > 0 && search_speedup < check_speedup) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), "%s search %.3fx < %.3fx",
+                    name.c_str(), search_speedup, check_speedup);
+      gate_failures.push_back(buf);
     }
   }
 
   // Batch-size sweep on Dash-EH: how wide the group must be before the
-  // pipeline covers the memory latency. Runs on the gated pipeline.
+  // engine covers the memory latency.
   if (only_table.empty() || only_table == "dash-eh") {
     DashOptions options;
-    options.batch_pipeline = gated;
     TableHandle handle =
         MakeTable(api::IndexKind::kDashEH, config, options);
     Preload(handle.table.get(), preload, /*threads=*/1);
@@ -1208,16 +1160,15 @@ int main(int argc, char** argv) {
           BatchSearchPhase(handle.table.get(), preload, ops, b);
       PrintRow("bench_batch", "dash-eh", "search-b" + std::to_string(b), 1,
                r);
-      PrintJson("dash-eh", "search-sweep", "batch", b, r, 0,
-                PipelineName(gated));
+      PrintJson("dash-eh", "search-sweep", "batch", b, r);
     }
   }
 
   // Cross-table gate: every non-base table that ran must hit RATIO x the
-  // base table's gated batch-search throughput.
+  // base table's batch-search throughput.
   if (check_vs_ratio > 0) {
     double base_mops = 0.0;
-    for (const auto& [tname, mops] : gated_search_mops) {
+    for (const auto& [tname, mops] : search_mops) {
       if (tname == check_vs_base) base_mops = mops;
     }
     if (base_mops <= 0.0) {
@@ -1225,14 +1176,13 @@ int main(int argc, char** argv) {
                    check_vs_base.c_str());
       return 1;
     }
-    for (const auto& [tname, mops] : gated_search_mops) {
+    for (const auto& [tname, mops] : search_mops) {
       if (tname == check_vs_base) continue;
       const double ratio = mops / base_mops;
       std::printf(
-          "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"pipeline\":\"%s\","
-          "\"batch\":%zu,\"search_mops_vs_%s\":%.3f}\n",
-          tname.c_str(), PipelineName(gated), batch, check_vs_base.c_str(),
-          ratio);
+          "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"batch\":%zu,"
+          "\"search_mops_vs_%s\":%.3f}\n",
+          tname.c_str(), batch, check_vs_base.c_str(), ratio);
       std::fflush(stdout);
       if (ratio < check_vs_ratio) {
         char buf[160];

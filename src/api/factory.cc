@@ -21,7 +21,6 @@ cceh::CcehOptions ToCcehOptions(const DashOptions& o) {
   // Match total segment bytes: Dash 64 x 256 B buckets == CCEH 256 x 64 B.
   c.buckets_per_segment = o.buckets_per_segment * 4;
   c.initial_depth = o.initial_depth;
-  c.batch_pipeline = o.batch_pipeline;
   return c;
 }
 
@@ -34,7 +33,6 @@ level::LevelOptions ToLevelOptions(const DashOptions& o) {
   uint64_t buckets = 16;
   while (buckets * level::kSlotsPerBucket * 3 / 2 < slots) buckets *= 2;
   l.initial_top_buckets = buckets;
-  l.batch_pipeline = o.batch_pipeline;
   return l;
 }
 
@@ -46,7 +44,6 @@ hybrid::HybridOptions ToHybridOptions(const DashOptions& o) {
   h.buckets_per_segment = o.buckets_per_segment;
   h.stash_slots = o.stash_buckets * 8;
   h.initial_depth = o.initial_depth;
-  h.batch_pipeline = o.batch_pipeline;
   h.checkpoint_path = o.checkpoint_path;
   h.rebuild_threads = o.rebuild_threads;
   h.compaction_trigger = o.compaction_trigger;
@@ -59,10 +56,13 @@ hybrid::HybridOptions ToHybridOptions(const DashOptions& o) {
 // prefetch group width so chunking never truncates a pipeline group.
 constexpr size_t kAdapterChunk = 256;
 
-template <typename Table, typename Key, IndexKind Kind, typename Base>
-class IndexAdapter : public Base {
+// The one BasicKvIndex implementation: forwards every entry point to a
+// table's native single-op and batch paths, adding the reserved-key
+// checks and the OpStatus -> Status mapping.
+template <typename Table, IndexKind Kind, typename Key>
+class IndexAdapter : public BasicKvIndex<Key> {
  public:
-  using OpDesc = typename Base::OpDesc;
+  using OpDesc = BasicOp<Key>;
 
   template <typename Options>
   IndexAdapter(pmem::PmPool* pool, epoch::EpochManager* epochs,
@@ -86,13 +86,12 @@ class IndexAdapter : public Base {
     return FromOpStatus(table_.Delete(key));
   }
 
-  // Batch entry points: forward to the table's native prefetch pipeline
-  // when it has one, otherwise loop the single-op bodies. Reserved keys
-  // are compacted out per chunk (they get kInvalidArgument and never
+  // Batch entry points: forward to the table's batch engine. Reserved
+  // keys are compacted out per chunk (they get kInvalidArgument and never
   // reach the table); the common no-reserved-key chunk dispatches on the
   // caller's arrays with zero copying. ForEachValidChunk owns that
-  // protocol; each entry point only supplies the native dispatch and how
-  // to scatter value outputs.
+  // protocol; each entry point only supplies the table call and how to
+  // scatter value outputs.
 
   void MultiSearch(const Key* keys, size_t count, uint64_t* values,
                    Status* statuses) override {
@@ -101,11 +100,11 @@ class IndexAdapter : public Base {
         [&](const Key* k, const uint32_t* idx, size_t n, size_t base) {
           OpStatus raw[kAdapterChunk];
           if (idx == nullptr) {
-            NativeMultiSearch(k, n, values + base, raw);
+            table_.MultiSearch(k, n, values + base, raw);
             ConvertStatuses(raw, n, statuses + base);
           } else {
             uint64_t cvals[kAdapterChunk];
-            NativeMultiSearch(k, n, cvals, raw);
+            table_.MultiSearch(k, n, cvals, raw);
             for (size_t j = 0; j < n; ++j) {
               statuses[base + idx[j]] = FromOpStatus(raw[j]);
               if (raw[j] == OpStatus::kOk) values[base + idx[j]] = cvals[j];
@@ -119,7 +118,7 @@ class IndexAdapter : public Base {
     MultiWrite(keys, values, count, statuses, [this](const Key* k,
                                                      const uint64_t* v,
                                                      size_t n, OpStatus* out) {
-      NativeMultiInsert(k, v, n, out);
+      table_.MultiInsert(k, v, n, out);
     });
   }
 
@@ -128,7 +127,7 @@ class IndexAdapter : public Base {
     MultiWrite(keys, values, count, statuses, [this](const Key* k,
                                                      const uint64_t* v,
                                                      size_t n, OpStatus* out) {
-      NativeMultiUpdate(k, v, n, out);
+      table_.MultiUpdate(k, v, n, out);
     });
   }
 
@@ -138,7 +137,7 @@ class IndexAdapter : public Base {
         keys, count, statuses,
         [&](const Key* k, const uint32_t* idx, size_t n, size_t base) {
           OpStatus raw[kAdapterChunk];
-          NativeMultiDelete(k, n, raw);
+          table_.MultiDelete(k, n, raw);
           if (idx == nullptr) {
             ConvertStatuses(raw, n, statuses + base);
           } else {
@@ -151,7 +150,7 @@ class IndexAdapter : public Base {
 
   // Mixed-operation batch (API v2 tentpole): each chunk is stably
   // partitioned by op type and every type group runs through the table's
-  // native batch pipeline, so a heterogeneous batch gets the same
+  // batch engine, so a heterogeneous batch gets the same
   // prefetch overlap as four homogeneous ones. Results are scattered back
   // to the caller's descriptor order.
   void MultiExecute(OpDesc* ops, size_t count, Status* statuses) override {
@@ -163,15 +162,7 @@ class IndexAdapter : public Base {
 
   void PrefetchBatch(const Key* keys, size_t count,
                      bool for_write) override {
-    if constexpr (requires(Table& t) {
-                    t.PrefetchBatch(keys, count, for_write);
-                  }) {
-      table_.PrefetchBatch(keys, count, for_write);
-    }
-  }
-
-  void SetBatchPipeline(BatchPipeline pipeline) override {
-    table_.set_batch_pipeline(pipeline);
+    table_.PrefetchBatch(keys, count, for_write);
   }
 
   bool Verify() override {
@@ -315,8 +306,8 @@ class IndexAdapter : public Base {
         });
   }
 
-  // One bounded chunk of a mixed batch: stable type partition, one native
-  // batch dispatch per type group, scatter in caller order.
+  // One bounded chunk of a mixed batch: stable type partition, one table
+  // batch call per type group, scatter in caller order.
   void ExecuteChunk(OpDesc* ops, size_t n, Status* statuses) {
     uint32_t groups[4][kAdapterChunk];
     size_t sizes[4] = {0, 0, 0, 0};
@@ -342,7 +333,7 @@ class IndexAdapter : public Base {
       for (size_t j = 0; j < m; ++j) keys[j] = ops[idx[j]].key;
       switch (static_cast<OpType>(t)) {
         case OpType::kSearch:
-          NativeMultiSearch(keys, m, vals, raw);
+          table_.MultiSearch(keys, m, vals, raw);
           for (size_t j = 0; j < m; ++j) {
             statuses[idx[j]] = FromOpStatus(raw[j]);
             if (raw[j] == OpStatus::kOk) ops[idx[j]].value = vals[j];
@@ -350,20 +341,20 @@ class IndexAdapter : public Base {
           break;
         case OpType::kInsert:
           for (size_t j = 0; j < m; ++j) vals[j] = ops[idx[j]].value;
-          NativeMultiInsert(keys, vals, m, raw);
+          table_.MultiInsert(keys, vals, m, raw);
           for (size_t j = 0; j < m; ++j) {
             statuses[idx[j]] = FromOpStatus(raw[j]);
           }
           break;
         case OpType::kUpdate:
           for (size_t j = 0; j < m; ++j) vals[j] = ops[idx[j]].value;
-          NativeMultiUpdate(keys, vals, m, raw);
+          table_.MultiUpdate(keys, vals, m, raw);
           for (size_t j = 0; j < m; ++j) {
             statuses[idx[j]] = FromOpStatus(raw[j]);
           }
           break;
         case OpType::kDelete:
-          NativeMultiDelete(keys, m, raw);
+          table_.MultiDelete(keys, m, raw);
           for (size_t j = 0; j < m; ++j) {
             statuses[idx[j]] = FromOpStatus(raw[j]);
           }
@@ -372,76 +363,35 @@ class IndexAdapter : public Base {
     }
   }
 
-  // Native pipeline dispatch, gated on the table actually providing the
-  // batch entry point; the loop fallback reuses the single-op bodies.
-
-  void NativeMultiSearch(const Key* keys, size_t n, uint64_t* values,
-                         OpStatus* out) {
-    if constexpr (requires(Table& t) {
-                    t.MultiSearch(keys, n, values, out);
-                  }) {
-      table_.MultiSearch(keys, n, values, out);
-    } else {
-      for (size_t i = 0; i < n; ++i) out[i] = table_.Search(keys[i], &values[i]);
-    }
-  }
-  void NativeMultiInsert(const Key* keys, const uint64_t* values, size_t n,
-                         OpStatus* out) {
-    if constexpr (requires(Table& t) {
-                    t.MultiInsert(keys, values, n, out);
-                  }) {
-      table_.MultiInsert(keys, values, n, out);
-    } else {
-      for (size_t i = 0; i < n; ++i) out[i] = table_.Insert(keys[i], values[i]);
-    }
-  }
-  void NativeMultiUpdate(const Key* keys, const uint64_t* values, size_t n,
-                         OpStatus* out) {
-    if constexpr (requires(Table& t) {
-                    t.MultiUpdate(keys, values, n, out);
-                  }) {
-      table_.MultiUpdate(keys, values, n, out);
-    } else {
-      for (size_t i = 0; i < n; ++i) out[i] = table_.Update(keys[i], values[i]);
-    }
-  }
-  void NativeMultiDelete(const Key* keys, size_t n, OpStatus* out) {
-    if constexpr (requires(Table& t) { t.MultiDelete(keys, n, out); }) {
-      table_.MultiDelete(keys, n, out);
-    } else {
-      for (size_t i = 0; i < n; ++i) out[i] = table_.Delete(keys[i]);
-    }
-  }
-
   pmem::PmPool* pool_;
   Table table_;
 };
 
-template <typename KP, typename Key, typename Base>
-std::unique_ptr<Base> Make(IndexKind kind, pmem::PmPool* pool,
-                           epoch::EpochManager* epochs,
-                           const DashOptions& options) {
+template <typename KP, typename Key = typename KP::KeyArg>
+std::unique_ptr<BasicKvIndex<Key>> Make(IndexKind kind, pmem::PmPool* pool,
+                                        epoch::EpochManager* epochs,
+                                        const DashOptions& options) {
   switch (kind) {
     case IndexKind::kDashEH:
       return std::make_unique<
-          IndexAdapter<DashEH<KP>, Key, IndexKind::kDashEH, Base>>(
-          pool, epochs, options);
+          IndexAdapter<DashEH<KP>, IndexKind::kDashEH, Key>>(pool, epochs,
+                                                             options);
     case IndexKind::kDashLH:
       return std::make_unique<
-          IndexAdapter<DashLH<KP>, Key, IndexKind::kDashLH, Base>>(
-          pool, epochs, options);
+          IndexAdapter<DashLH<KP>, IndexKind::kDashLH, Key>>(pool, epochs,
+                                                             options);
     case IndexKind::kCCEH:
       return std::make_unique<
-          IndexAdapter<cceh::CCEH<KP>, Key, IndexKind::kCCEH, Base>>(
+          IndexAdapter<cceh::CCEH<KP>, IndexKind::kCCEH, Key>>(
           pool, epochs, ToCcehOptions(options));
     case IndexKind::kLevel:
       return std::make_unique<
-          IndexAdapter<level::LevelHashing<KP>, Key, IndexKind::kLevel,
-                       Base>>(pool, epochs, ToLevelOptions(options));
+          IndexAdapter<level::LevelHashing<KP>, IndexKind::kLevel, Key>>(
+          pool, epochs, ToLevelOptions(options));
     case IndexKind::kHybrid:
       return std::make_unique<
-          IndexAdapter<hybrid::HybridTable<KP>, Key, IndexKind::kHybrid,
-                       Base>>(pool, epochs, ToHybridOptions(options));
+          IndexAdapter<hybrid::HybridTable<KP>, IndexKind::kHybrid, Key>>(
+          pool, epochs, ToHybridOptions(options));
   }
   return nullptr;
 }
@@ -479,15 +429,14 @@ bool ParseIndexKind(std::string_view name, IndexKind* kind) {
 std::unique_ptr<KvIndex> CreateKvIndex(IndexKind kind, pmem::PmPool* pool,
                                        epoch::EpochManager* epochs,
                                        const DashOptions& options) {
-  return Make<IntKeyPolicy, uint64_t, KvIndex>(kind, pool, epochs, options);
+  return Make<IntKeyPolicy>(kind, pool, epochs, options);
 }
 
 std::unique_ptr<VarKvIndex> CreateVarKvIndex(IndexKind kind,
                                              pmem::PmPool* pool,
                                              epoch::EpochManager* epochs,
                                              const DashOptions& options) {
-  return Make<VarKeyPolicy, std::string_view, VarKvIndex>(kind, pool, epochs,
-                                                          options);
+  return Make<VarKeyPolicy>(kind, pool, epochs, options);
 }
 
 }  // namespace dash::api

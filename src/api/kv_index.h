@@ -1,14 +1,14 @@
-// Unified key-value index interface over all four hash tables (Dash-EH,
-// Dash-LH, CCEH, Level hashing), for fixed 8-byte keys and for
-// variable-length keys. The benchmark harness, examples and integration
-// tests are written against this interface so every experiment runs
-// table-generically.
+// Unified key-value index interface over all five tables (Dash-EH,
+// Dash-LH, CCEH, Level hashing, the hybrid tier), one class template for
+// fixed 8-byte keys and for variable-length keys. The benchmark harness,
+// examples and integration tests are written against this interface so
+// every experiment runs table-generically.
 //
 // API v2: every operation reports a Status (status.h) instead of a bool,
 // the batch surface gains MultiUpdate, and MultiExecute accepts a mixed
-// Search/Insert/Update/Delete descriptor batch that the factory adapters
-// type-partition and dispatch through each table's AMAC prefetch
-// pipeline. Key 0 (and the empty var-key) is reserved and rejected with
+// Search/Insert/Update/Delete descriptor batch that the factory adapter
+// type-partitions and dispatches through each table's AMAC batch engine.
+// Key 0 (and the empty var-key) is reserved and rejected with
 // Status::kInvalidArgument at this boundary.
 
 #ifndef DASH_PM_API_KV_INDEX_H_
@@ -99,64 +99,52 @@ struct IndexStats {
   uint64_t log_chunk_bytes = 0;
 };
 
-// Fixed-length (8-byte) key index. All operations are thread-safe.
-// Key 0 is reserved (the CCEH baseline uses it as the empty-slot marker)
-// and every entry point rejects it with Status::kInvalidArgument.
-class KvIndex {
+// Key-value index over keys of type K, with one interface for both key
+// shapes: KvIndex (fixed 8-byte keys) and VarKvIndex (variable-length
+// keys, §4.5 pointer mode). All operations are thread-safe. Key 0 (the
+// CCEH baseline's empty-slot marker) and the empty var-key are reserved;
+// every entry point rejects them with Status::kInvalidArgument.
+template <typename K>
+class BasicKvIndex {
  public:
-  using OpDesc = Op;
-  using Key = uint64_t;
+  using Key = K;
+  using OpDesc = BasicOp<K>;
 
-  virtual ~KvIndex() = default;
+  virtual ~BasicKvIndex() = default;
 
   // Inserts key -> value. kOk, kExists, kOutOfSpace, kInvalidArgument.
-  virtual Status Insert(uint64_t key, uint64_t value) = 0;
+  virtual Status Insert(Key key, uint64_t value) = 0;
   // Looks up key; writes *value on kOk. kOk, kNotFound, kInvalidArgument.
-  virtual Status Search(uint64_t key, uint64_t* value) = 0;
+  virtual Status Search(Key key, uint64_t* value) = 0;
   // Replaces the payload of an existing key. kOk, kNotFound,
   // kInvalidArgument.
-  virtual Status Update(uint64_t key, uint64_t value) = 0;
+  virtual Status Update(Key key, uint64_t value) = 0;
   // Deletes key. kOk, kNotFound, kInvalidArgument.
-  virtual Status Delete(uint64_t key) = 0;
+  virtual Status Delete(Key key) = 0;
 
   // ---- batched operations ----
   //
   // Semantically identical to looping the single-op calls over the spans,
   // with per-slot statuses written to the output array (all arrays hold
-  // `count` entries). The native table implementations run each group of
-  // operations through a software-prefetching pipeline and amortize one
-  // epoch guard per group; these defaults are the generic loop fallback
-  // used when a table has no native batch path.
+  // `count` entries). The tables run each group of operations through
+  // their AMAC prefetch engine and amortize one epoch guard per group.
 
   // statuses[i] = Search(keys[i], &values[i]).
-  virtual void MultiSearch(const uint64_t* keys, size_t count,
-                           uint64_t* values, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Search(keys[i], &values[i]);
-    }
-  }
+  virtual void MultiSearch(const Key* keys, size_t count, uint64_t* values,
+                           Status* statuses) = 0;
   // statuses[i] = Insert(keys[i], values[i]).
-  virtual void MultiInsert(const uint64_t* keys, const uint64_t* values,
-                           size_t count, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Insert(keys[i], values[i]);
-    }
-  }
+  virtual void MultiInsert(const Key* keys, const uint64_t* values,
+                           size_t count, Status* statuses) = 0;
   // statuses[i] = Update(keys[i], values[i]).
-  virtual void MultiUpdate(const uint64_t* keys, const uint64_t* values,
-                           size_t count, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Update(keys[i], values[i]);
-    }
-  }
+  virtual void MultiUpdate(const Key* keys, const uint64_t* values,
+                           size_t count, Status* statuses) = 0;
   // statuses[i] = Delete(keys[i]).
-  virtual void MultiDelete(const uint64_t* keys, size_t count,
-                           Status* statuses) {
-    for (size_t i = 0; i < count; ++i) statuses[i] = Delete(keys[i]);
-  }
+  virtual void MultiDelete(const Key* keys, size_t count,
+                           Status* statuses) = 0;
 
   // Mixed-operation batch: executes `count` descriptors and writes one
-  // Status per descriptor; search results land in ops[i].value.
+  // Status per descriptor; search results land in ops[i].value. A
+  // malformed descriptor (type byte out of range) gets kInvalidArgument.
   //
   // Ordering contract: the batch is processed in bounded chunks; each
   // chunk is stably partitioned by op type and the type groups run in
@@ -164,55 +152,26 @@ class KvIndex {
   // same type always keep their relative order; ops of *different* types
   // on the same key may be reordered within a chunk, so batches needing a
   // serial left-to-right guarantee across types must split at the
-  // dependency. The native implementations dispatch each type group
-  // through the table's prefetch pipeline, which is what makes a
-  // heterogeneous batch as fast as four homogeneous ones.
-  virtual void MultiExecute(Op* ops, size_t count, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      switch (ops[i].type) {
-        case OpType::kSearch:
-          statuses[i] = Search(ops[i].key, &ops[i].value);
-          break;
-        case OpType::kInsert:
-          statuses[i] = Insert(ops[i].key, ops[i].value);
-          break;
-        case OpType::kUpdate:
-          statuses[i] = Update(ops[i].key, ops[i].value);
-          break;
-        case OpType::kDelete:
-          statuses[i] = Delete(ops[i].key);
-          break;
-        default:  // malformed descriptor (type byte out of range)
-          statuses[i] = Status::kInvalidArgument;
-          break;
-      }
-    }
-  }
+  // dependency. Each type group runs through the table's batch engine,
+  // which is what makes a heterogeneous batch as fast as four
+  // homogeneous ones.
+  virtual void MultiExecute(OpDesc* ops, size_t count, Status* statuses) = 0;
 
   // Warms the cache lines the given keys' probes will touch by running
-  // only the prefetch stages of the table's batch pipeline. A pure hint
-  // with no semantic effect (the default is a no-op); ShardedStore uses
-  // it to overlap one shard's memory stalls with another shard's
-  // execution.
-  virtual void PrefetchBatch(const uint64_t* keys, size_t count,
-                             bool for_write) {
-    (void)keys;
-    (void)count;
-    (void)for_write;
-  }
-
-  // Selects the batch execution engine behind the Multi* entry points
-  // (A/B hook for bench_batch; see dash::BatchPipeline). Default no-op
-  // for implementations without a native pipeline.
-  virtual void SetBatchPipeline(BatchPipeline pipeline) { (void)pipeline; }
+  // only the resolve-and-prefetch stages of the table's batch engine
+  // (`for_write` fetches the lines a write locks for ownership). A pure
+  // hint with no semantic effect; ShardedStore uses it to overlap one
+  // shard's memory stalls with another shard's execution.
+  virtual void PrefetchBatch(const Key* keys, size_t count,
+                             bool for_write) = 0;
 
   // Structural self-check, run after crash recovery: directory pointers
   // inside the pool, depths consistent, bucket metadata sane. Returns
   // false when the recovered image is structurally corrupt — ShardedStore
   // quarantines such a shard instead of serving from it. Read-only and
-  // O(directory + buckets); the default accepts everything (for
-  // implementations without a native check).
-  virtual bool Verify() { return true; }
+  // O(directory + buckets); tables without a native check accept
+  // everything.
+  virtual bool Verify() = 0;
 
   // Writes a crash-consistent checkpoint of the index's DRAM-resident
   // state (hybrid tier), so the next open is a load plus a bounded tail
@@ -222,7 +181,7 @@ class KvIndex {
   // attempt was abandoned (racing splits / I/O error) — failure never
   // affects correctness, only the speed of the next open. The shard
   // workers' idle path and CloseClean call this.
-  virtual bool WriteCheckpoint() { return false; }
+  virtual bool WriteCheckpoint() = 0;
 
   // Runs one online log-compaction pass (hybrid tier): lanes whose
   // dead-slot ratio exceeds DashOptions::compaction_trigger get their
@@ -231,7 +190,7 @@ class KvIndex {
   // operations; returns false when nothing qualified, compaction is
   // disabled (trigger 0), or the index has no log (PM-native tables).
   // The shard workers' idle path calls this on a timer.
-  virtual bool Compact() { return false; }
+  virtual bool Compact() = 0;
 
   // Marks a clean shutdown (before closing the pool).
   virtual void CloseClean() = 0;
@@ -239,93 +198,8 @@ class KvIndex {
   virtual IndexKind kind() const = 0;
 };
 
-// Variable-length key index (§4.5 pointer mode). The empty key is
-// reserved; every entry point rejects it with Status::kInvalidArgument.
-class VarKvIndex {
- public:
-  using OpDesc = VarOp;
-  using Key = std::string_view;
-
-  virtual ~VarKvIndex() = default;
-
-  virtual Status Insert(std::string_view key, uint64_t value) = 0;
-  virtual Status Search(std::string_view key, uint64_t* value) = 0;
-  virtual Status Update(std::string_view key, uint64_t value) = 0;
-  virtual Status Delete(std::string_view key) = 0;
-
-  // Batched operations; same contract as KvIndex.
-  virtual void MultiSearch(const std::string_view* keys, size_t count,
-                           uint64_t* values, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Search(keys[i], &values[i]);
-    }
-  }
-  virtual void MultiInsert(const std::string_view* keys,
-                           const uint64_t* values, size_t count,
-                           Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Insert(keys[i], values[i]);
-    }
-  }
-  virtual void MultiUpdate(const std::string_view* keys,
-                           const uint64_t* values, size_t count,
-                           Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      statuses[i] = Update(keys[i], values[i]);
-    }
-  }
-  virtual void MultiDelete(const std::string_view* keys, size_t count,
-                           Status* statuses) {
-    for (size_t i = 0; i < count; ++i) statuses[i] = Delete(keys[i]);
-  }
-
-  // Mixed-operation batch; same ordering contract as KvIndex.
-  virtual void MultiExecute(VarOp* ops, size_t count, Status* statuses) {
-    for (size_t i = 0; i < count; ++i) {
-      switch (ops[i].type) {
-        case OpType::kSearch:
-          statuses[i] = Search(ops[i].key, &ops[i].value);
-          break;
-        case OpType::kInsert:
-          statuses[i] = Insert(ops[i].key, ops[i].value);
-          break;
-        case OpType::kUpdate:
-          statuses[i] = Update(ops[i].key, ops[i].value);
-          break;
-        case OpType::kDelete:
-          statuses[i] = Delete(ops[i].key);
-          break;
-        default:  // malformed descriptor (type byte out of range)
-          statuses[i] = Status::kInvalidArgument;
-          break;
-      }
-    }
-  }
-
-  // Prefetch-only hint; same contract as KvIndex::PrefetchBatch.
-  virtual void PrefetchBatch(const std::string_view* keys, size_t count,
-                             bool for_write) {
-    (void)keys;
-    (void)count;
-    (void)for_write;
-  }
-
-  // Batch-engine selector; same contract as KvIndex::SetBatchPipeline.
-  virtual void SetBatchPipeline(BatchPipeline pipeline) { (void)pipeline; }
-
-  // Structural self-check; same contract as KvIndex::Verify.
-  virtual bool Verify() { return true; }
-
-  // Checkpoint hook; same contract as KvIndex::WriteCheckpoint.
-  virtual bool WriteCheckpoint() { return false; }
-
-  // Compaction hook; same contract as KvIndex::Compact.
-  virtual bool Compact() { return false; }
-
-  virtual void CloseClean() = 0;
-  virtual IndexStats Stats() = 0;
-  virtual IndexKind kind() const = 0;
-};
+using KvIndex = BasicKvIndex<uint64_t>;
+using VarKvIndex = BasicKvIndex<std::string_view>;
 
 // Creates (or re-opens, if the pool already holds one) an index of `kind`
 // in `pool`'s root area. `options` supplies Dash knobs; baselines map the

@@ -3,7 +3,7 @@
 // Every public entry point of KvIndex / VarKvIndex / ShardedStore returns
 // a Status instead of a bool, so callers can distinguish "key already
 // exists" from "pool out of space" from "you passed the reserved key".
-// The Op descriptor is the unit of the mixed-operation batch API
+// The Op / VarOp descriptor is the unit of the mixed-operation batch API
 // (MultiExecute): a serving frontend can gather heterogeneous requests
 // into one array and push them through the tables' AMAC prefetch
 // pipelines in a single call.
@@ -81,44 +81,29 @@ constexpr const char* OpTypeName(OpType t) {
   return "unknown";
 }
 
-// One fixed-key operation. `value` is an input for kInsert/kUpdate and an
-// output for kSearch (written only when the search status is kOk); it is
-// ignored by kDelete.
-struct Op {
+// One batch operation over keys of type K (uint64_t or std::string_view).
+// `value` is an input for kInsert/kUpdate and an output for kSearch
+// (written only when the search status is kOk); it is ignored by kDelete.
+// A string_view key must stay valid for the duration of the MultiExecute
+// call; the store copies the bytes on insert.
+template <typename K>
+struct BasicOp {
   OpType type = OpType::kSearch;
-  uint64_t key = 0;
+  K key{};
   uint64_t value = 0;
 
-  static Op Search(uint64_t key) { return {OpType::kSearch, key, 0}; }
-  static Op Insert(uint64_t key, uint64_t value) {
+  static BasicOp Search(K key) { return {OpType::kSearch, key, 0}; }
+  static BasicOp Insert(K key, uint64_t value) {
     return {OpType::kInsert, key, value};
   }
-  static Op Update(uint64_t key, uint64_t value) {
+  static BasicOp Update(K key, uint64_t value) {
     return {OpType::kUpdate, key, value};
   }
-  static Op Delete(uint64_t key) { return {OpType::kDelete, key, 0}; }
+  static BasicOp Delete(K key) { return {OpType::kDelete, key, 0}; }
 };
 
-// Variable-length-key counterpart. The string_view must stay valid for the
-// duration of the MultiExecute call; the store copies the bytes on insert.
-struct VarOp {
-  OpType type = OpType::kSearch;
-  std::string_view key;
-  uint64_t value = 0;
-
-  static VarOp Search(std::string_view key) {
-    return {OpType::kSearch, key, 0};
-  }
-  static VarOp Insert(std::string_view key, uint64_t value) {
-    return {OpType::kInsert, key, value};
-  }
-  static VarOp Update(std::string_view key, uint64_t value) {
-    return {OpType::kUpdate, key, value};
-  }
-  static VarOp Delete(std::string_view key) {
-    return {OpType::kDelete, key, 0};
-  }
-};
+using Op = BasicOp<uint64_t>;
+using VarOp = BasicOp<std::string_view>;
 
 // Reserved keys, rejected with kInvalidArgument at the API boundary: key 0
 // is the CCEH empty-slot marker (§6.3) and the empty var-key maps to a

@@ -175,8 +175,6 @@ struct CcehRoot {
 struct CcehOptions {
   uint32_t buckets_per_segment = 256;  // 256 x 64 B = 16 KB segments
   uint32_t initial_depth = 1;
-  // Batch engine behind Multi* (see dash::BatchPipeline).
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
 };
 
 // Aggregate statistics, mirroring DashTableStats.
@@ -252,78 +250,44 @@ class CCEH {
 
   // ---- batched operations ----
   //
-  // Two engines (opts_.batch_pipeline). kGroup is the PR-1 three-stage
-  // pipeline: hash + directory-entry prefetch, segment resolution +
-  // prefetch, then the ordinary per-op logic with one epoch guard per
-  // group. kAmac runs per-op state machines (util/amac.h). Searches are
-  // lock-free (optimistic versioned probes), so their machine suspends at
-  // the execute-stage probe: resolve + prefetch the header for *read*
-  // plus the 4-cacheline probe window, yield, then probe over warm lines
-  // and revalidate; version conflicts re-resolve through the directory in
-  // a dedicated Retry pass over freshly prefetched lines. Write ops keep
+  // Per-op state machines (util/amac.h). Searches are lock-free
+  // (optimistic versioned probes), so their machine suspends at the
+  // execute-stage probe: resolve + prefetch the header for *read* plus
+  // the 4-cacheline probe window, yield, then probe over warm lines and
+  // revalidate; version conflicts re-resolve through the directory in a
+  // dedicated Retry pass over freshly prefetched lines. Write ops keep
   // the fixed locked schedule (prefetch-for-ownership, then the exclusive
   // body in one pass visit — see the suspension constraint in
-  // util/amac.h).
+  // util/amac.h). One epoch guard per group of kBatchGroupWidth ops.
 
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
+    AmacMultiSearch(keys, count, values, statuses);
   }
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = InsertWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = InsertWithHash(key, values[i], h);
+    });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = UpdateWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = UpdateWithHash(key, values[i], h);
+    });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = DeleteWithHash(key, h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = DeleteWithHash(key, h);
+    });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stages of the batch pipeline (pure hint; see
-  // DashEH::PrefetchBatch). Searches are optimistic and fetch the header
-  // for read; write batches fetch it for ownership.
+  // Runs only the resolve-and-prefetch stages of the batch engine (pure
+  // hint; see DashEH::PrefetchBatch). Searches are optimistic and fetch
+  // the header for read; write batches fetch it for ownership.
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
     uint64_t hashes[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
@@ -334,28 +298,6 @@ class CCEH {
   }
 
  private:
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stages and invoke
-  // exec(global_index, key, hash) for each. `for_write` selects how the
-  // segment header is prefetched: write ops take the exclusive lock (a PM
-  // lock-word write), searches only read it (version snapshot).
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
   // ---- state-machine (AMAC) engine ----
 
   struct AmacOp {
@@ -441,55 +383,26 @@ class CCEH {
     }
   }
 
-  // Write machine: Hash -> DirProbe (resolve entry, prefetch header for
-  // ownership + the probe window) -> Execute (the ordinary locked per-op
-  // body). Fixed schedule — the whole write body runs under the
-  // segment's exclusive lock, so there is no variable-length continuation
-  // for the round-robin scheduler to interleave (see util/amac.h). Two
-  // plain passes realize the same memory schedule without the scheduler's
-  // bookkeeping.
+  // Write machine: PrefetchGroup's Hash -> DirProbe passes (resolve the
+  // entry, prefetch the header for ownership + the probe window), then
+  // Execute (the ordinary locked per-op body, in index order). Fixed
+  // schedule — the whole write body runs under the segment's exclusive
+  // lock, so there is no variable-length continuation for the
+  // round-robin scheduler to interleave (see util/amac.h). The body
+  // revalidates under the segment lock, so a directory gone stale since
+  // resolution costs one warm retry.
   template <typename ExecFn>
   void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
     util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
-    const uint32_t mask = opts_.buckets_per_segment - 1;
+    uint64_t hashes[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
       epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group (a stale entry is re-validated
-      // by the execute body under the segment lock).
-      CcehDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
+      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
+        exec(base + i, keys[base + i], hashes[i]);
       }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        auto* seg = reinterpret_cast<CcehSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchWrite(seg);  // header line holds the version lock
-        const uint32_t y =
-            CcehSegment::BucketIndex(ops[i].hash, opts_.buckets_per_segment);
-        for (uint64_t p = 0; p < kProbeBuckets; ++p) {
-          util::PrefetchRead(seg->bucket((y + p) & mask));
-        }
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        // The body revalidates under the segment lock, so a directory
-        // gone stale since resolution costs one warm retry.
-        exec(base + i, keys[base + i], ops[i].hash);
-      }
-      ctr.FlushTo(tele);
+      tele.CountWriteGroup(n);
     }
   }
 
@@ -608,12 +521,14 @@ class CCEH {
     }
   }
 
-  // Stages 1-2 of the batch pipeline: hash the group and prefetch each
-  // directory entry, then resolve the segments and prefetch the header
-  // (for ownership only on write batches — searches never write it) plus
-  // the bounded linear-probe window around the target bucket. The
-  // directory snapshot may go stale; the execute stage revalidates (under
-  // the segment lock for writes, via snapshot/verify for searches).
+  // The resolve-and-prefetch passes shared by the write engine and
+  // PrefetchBatch (caller holds an epoch guard): hash the group and
+  // prefetch each directory entry, then resolve the segments and prefetch
+  // the header (for ownership only on write batches — searches never
+  // write it) plus the bounded linear-probe window around the target
+  // bucket. The directory snapshot may go stale; the op bodies revalidate
+  // (under the segment lock for writes, via snapshot/verify for
+  // searches).
   void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
                      bool for_write) {
     CcehDirectory* dir = Dir();
@@ -628,11 +543,7 @@ class CCEH {
     for (size_t i = 0; i < n; ++i) {
       const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
       CcehSegment* seg = dir->entry(idx);
-      if (for_write) {
-        util::PrefetchWrite(seg);  // header line holds the PM-resident lock
-      } else {
-        util::PrefetchRead(seg);
-      }
+      util::Prefetch(seg, for_write);  // header holds the PM-resident lock
       const uint32_t y =
           CcehSegment::BucketIndex(hashes[i], opts_.buckets_per_segment);
       for (uint64_t p = 0; p < kProbeBuckets; ++p) {

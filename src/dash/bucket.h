@@ -178,14 +178,11 @@ class Bucket {
 
   BucketLock& lock() { return lock_; }
   const Record& record(int slot) const { return records_[slot]; }
-  // Lock-free readers load a slot's value through an 8-byte atomic:
-  // UpdateSlotValue stores it atomically under the lock, and the reader's
-  // version re-validation discards a value that raced a write.
-  uint64_t LoadValue(int slot) const {
-    return reinterpret_cast<const std::atomic<uint64_t>*>(
-               &records_[slot].value)
-        ->load(std::memory_order_relaxed);
-  }
+  // Lock-free readers load a slot's key and value through 8-byte atomics:
+  // Insert and UpdateSlotValue store them atomically under the lock, and
+  // the reader's version re-validation discards whatever raced a write.
+  uint64_t LoadKey(int slot) const { return Load(records_[slot].key); }
+  uint64_t LoadValue(int slot) const { return Load(records_[slot].value); }
   uint8_t fingerprint(int slot) const { return fps_[slot]; }
   bool SlotMembership(uint32_t meta_word, int slot) const {
     return (MemberBits(meta_word) >> slot) & 1;
@@ -212,7 +209,7 @@ class Bucket {
 #else
     uint32_t match = 0;
     for (uint32_t slot = 0; slot < kNumSlots; ++slot) {
-      if (fps_[slot] == fp) match |= 1u << slot;
+      if (Load(fps_[slot]) == fp) match |= 1u << slot;
     }
     return match & alloc_bits;
 #endif
@@ -235,7 +232,7 @@ class Bucket {
       candidates &= candidates - 1;
       // Touching the record is an additional PM read.
       pmem::ReadProbe(&records_[slot]);
-      if (KP::EqualStored(records_[slot].key, key)) return slot;
+      if (KP::EqualStored(LoadKey(slot), key)) return slot;
     }
     return -1;
   }
@@ -271,13 +268,12 @@ class Bucket {
     const uint32_t m = meta_.load(std::memory_order_relaxed);
     const int slot = FirstFreeSlot(m);
     if (slot < 0) return false;
-    records_[slot].key = stored_key;
-    records_[slot].value = value;
+    Store(records_[slot].key, stored_key);
+    Store(records_[slot].value, value);
     pmem::Persist(&records_[slot], sizeof(Record));  // persist record first
 
     // Atomic byte store: lock-free readers load the fingerprints as words.
-    reinterpret_cast<std::atomic<uint8_t>*>(&fps_[slot])
-        ->store(fp, std::memory_order_relaxed);
+    Store(fps_[slot], fp);
     uint32_t next = m | (1u << slot);
     if (member) next |= 1u << (kNumSlots + slot);
     next = (next & ~(0xFu << 28)) | ((Count(m) + 1) << 28);
@@ -321,6 +317,9 @@ class Bucket {
 
   // --- overflow (stash) metadata, §4.3 ---
   // Not crash-consistent by design: rebuilt by lazy recovery (§4.6).
+  // Writers hold the bucket lock; lock-free searches read the bytes
+  // concurrently and re-validate the version afterwards, so every access
+  // is a relaxed atomic.
 
   // Records that a key with fingerprint `fp`, home in this bucket chain,
   // overflowed to stash bucket `stash_pos`. `member` is true when stored in
@@ -328,17 +327,18 @@ class Bucket {
   // four overflow fingerprint slots are taken.
   bool TrySetOverflowFp(uint8_t fp, uint32_t stash_pos, bool member) {
     if (stash_pos >= kStashPosUnencodable) return false;
+    const uint8_t bitmap = Load(overflow_bitmap_);
     for (uint32_t i = 0; i < kNumOverflowFps; ++i) {
-      if (((overflow_bitmap_ >> i) & 1) == 0) {
-        overflow_fps_[i] = fp;
-        overflow_pos_ = static_cast<uint8_t>(
-            (overflow_pos_ & ~(0x3u << (2 * i))) | (stash_pos << (2 * i)));
-        if (member) {
-          overflow_member_ |= static_cast<uint8_t>(1u << i);
-        } else {
-          overflow_member_ &= static_cast<uint8_t>(~(1u << i));
-        }
-        overflow_bitmap_ |= static_cast<uint8_t>(1u << i);
+      if (((bitmap >> i) & 1) == 0) {
+        Store(overflow_fps_[i], fp);
+        Store(overflow_pos_,
+              static_cast<uint8_t>((Load(overflow_pos_) & ~(0x3u << (2 * i))) |
+                                   (stash_pos << (2 * i))));
+        const uint8_t bit = static_cast<uint8_t>(1u << i);
+        const uint8_t members = Load(overflow_member_);
+        Store(overflow_member_,
+              static_cast<uint8_t>(member ? members | bit : members & ~bit));
+        Store(overflow_bitmap_, static_cast<uint8_t>(bitmap | bit));
         return true;
       }
     }
@@ -349,11 +349,12 @@ class Bucket {
   // Returns false if no such entry exists (the caller then decrements the
   // overflow counter instead).
   bool ClearOverflowFp(uint8_t fp, uint32_t stash_pos, bool member) {
+    const uint8_t bitmap = Load(overflow_bitmap_);
     for (uint32_t i = 0; i < kNumOverflowFps; ++i) {
-      if (((overflow_bitmap_ >> i) & 1) != 0 && overflow_fps_[i] == fp &&
-          ((overflow_pos_ >> (2 * i)) & 0x3) == stash_pos &&
-          (((overflow_member_ >> i) & 1) != 0) == member) {
-        overflow_bitmap_ &= static_cast<uint8_t>(~(1u << i));
+      if (((bitmap >> i) & 1) != 0 && Load(overflow_fps_[i]) == fp &&
+          ((Load(overflow_pos_) >> (2 * i)) & 0x3) == stash_pos &&
+          (((Load(overflow_member_) >> i) & 1) != 0) == member) {
+        Store(overflow_bitmap_, static_cast<uint8_t>(bitmap & ~(1u << i)));
         return true;
       }
     }
@@ -363,30 +364,36 @@ class Bucket {
   // Returns a bitmask over stash positions hinted by overflow fingerprints
   // matching `fp` with the given membership.
   uint32_t OverflowStashHints(uint8_t fp, bool member) const {
+    const uint8_t bitmap = Load(overflow_bitmap_);
+    const uint8_t members = Load(overflow_member_);
+    const uint8_t positions = Load(overflow_pos_);
     uint32_t hints = 0;
     for (uint32_t i = 0; i < kNumOverflowFps; ++i) {
-      if (((overflow_bitmap_ >> i) & 1) != 0 && overflow_fps_[i] == fp &&
-          (((overflow_member_ >> i) & 1) != 0) == member) {
-        hints |= 1u << ((overflow_pos_ >> (2 * i)) & 0x3);
+      if (((bitmap >> i) & 1) != 0 && Load(overflow_fps_[i]) == fp &&
+          (((members >> i) & 1) != 0) == member) {
+        hints |= 1u << ((positions >> (2 * i)) & 0x3);
       }
     }
     return hints;
   }
 
-  uint8_t overflow_count() const { return overflow_count_; }
-  void IncOverflowCount() { ++overflow_count_; }
+  uint8_t overflow_count() const { return Load(overflow_count_); }
+  void IncOverflowCount() {
+    Store(overflow_count_, static_cast<uint8_t>(overflow_count() + 1));
+  }
   void DecOverflowCount() {
-    if (overflow_count_ > 0) --overflow_count_;
+    const uint8_t n = overflow_count();
+    if (n > 0) Store(overflow_count_, static_cast<uint8_t>(n - 1));
   }
   bool HasAnyOverflow() const {
-    return overflow_bitmap_ != 0 || overflow_count_ != 0;
+    return Load(overflow_bitmap_) != 0 || overflow_count() != 0;
   }
 
   void ClearOverflowMetadata() {
-    overflow_bitmap_ = 0;
-    overflow_member_ = 0;
-    overflow_pos_ = 0;
-    overflow_count_ = 0;
+    Store(overflow_bitmap_, uint8_t{0});
+    Store(overflow_member_, uint8_t{0});
+    Store(overflow_pos_, uint8_t{0});
+    Store(overflow_count_, uint8_t{0});
   }
 
   // Crash recovery: clear the lock (held locks die with the crash).
@@ -402,6 +409,18 @@ class Bucket {
 
  private:
   static constexpr uint32_t kMetadataBytes = 32;
+
+  // Relaxed atomic access to a field that lock-free readers load while a
+  // locked writer stores it: plain same-size moves on x86, no fences.
+  template <typename T>
+  static T Load(const T& field) {
+    return std::atomic_ref<T>(const_cast<T&>(field))
+        .load(std::memory_order_relaxed);
+  }
+  template <typename T>
+  static void Store(T& field, T value) {
+    std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
+  }
 
   static int FirstFreeSlot(uint32_t meta_word) {
     const uint32_t free = ~AllocBits(meta_word) & kAllocMask;

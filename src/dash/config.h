@@ -44,18 +44,6 @@ enum class ConcurrencyMode : uint8_t {
   kRwLock = 1,      // reader-writer spinlocks; readers write the lock word
 };
 
-// Batch execution engine behind the Multi* entry points (A/B knob,
-// volatile). kGroup is the PR-1 three-stage pipeline: prefetch the whole
-// group's directory entries, then its buckets, then execute each op
-// serially. kAmac is the interleaved state-machine engine (util/amac.h):
-// per-op state machines that also overlap execute-stage misses (stash
-// probes, retries, Dash-LH address resolution, Level's bottom-level
-// reprobe).
-enum class BatchPipeline : uint8_t {
-  kGroup = 0,
-  kAmac = 1,
-};
-
 struct DashOptions {
   // --- structural (fixed at table creation, persisted) ---
   // Normal buckets per segment; power of two. 64 x 256-byte buckets = the
@@ -97,9 +85,6 @@ struct DashOptions {
   bool use_balanced_insert = true;   // Fig. 11 "+Balanced insert"
   bool use_displacement = true;      // Fig. 11 "+Displacement"
   ConcurrencyMode concurrency = ConcurrencyMode::kOptimistic;  // Fig. 13
-  // Batch engine for Multi* (see BatchPipeline). The state-machine engine
-  // is the default; kGroup keeps the PR-1 pipeline for A/B comparison.
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
   // Dash-EH: when a delete leaves a buddy segment pair with a combined
   // fullness below this threshold, the pair is merged (§4.6 "a segment
   // merge operation will be triggered if the load factor drops below a

@@ -144,91 +144,49 @@ class DashEH {
 
   // ---- batched operations ----
   //
-  // Two engines behind the same entry points (opts_.batch_pipeline):
-  //
-  //  * kGroup — the PR-1 three-stage pipeline: (1) hash every key and
-  //    prefetch its directory entry, (2) resolve the segment pointers and
-  //    prefetch each segment header plus the target/probing bucket lines,
-  //    (3) execute the ordinary per-op logic serially over warm lines.
-  //  * kAmac — per-op state machines (util/amac.h) scheduled as state
-  //    passes: every state transition that touches a cold line
-  //    (directory entry, segment header, bucket pair, stash buckets)
-  //    issues a prefetch and yields, so execute-stage misses — stash
-  //    probes, SMO-triggered retries — overlap across the group instead
-  //    of stalling serially.
-  //
-  // One epoch guard covers each group in both engines, and both reuse the
-  // single-op probe/retry bodies, so concurrent SMOs and lazy recovery
-  // behave exactly as in the single-op path.
+  // Per-op state machines (util/amac.h) scheduled as state passes over
+  // groups of kBatchGroupWidth ops: every state transition that touches a
+  // cold line (directory entry, segment header, bucket pair, stash
+  // buckets) issues a prefetch and yields, so execute-stage misses —
+  // stash probes, SMO-triggered retries — overlap across the group
+  // instead of stalling serially. One epoch guard covers each group, and
+  // the engines reuse the single-op probe/retry bodies, so concurrent
+  // SMOs and lazy recovery behave exactly as in the single-op path.
 
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
+    AmacMultiSearch(keys, count, values, statuses);
   }
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = InsertWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = InsertWithHash(key, values[i], h);
+    });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = UpdateWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = UpdateWithHash(key, values[i], h);
+    });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = DeleteWithHash(key, h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = DeleteWithHash(key, h);
+    });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stages (1-2) of the batch pipeline, warming
-  // the directory/segment/bucket lines the given keys will touch. A pure
-  // hint — no semantic effect. ShardedStore uses it to overlap one
-  // shard's memory stalls with another shard's execution.
+  // Runs only the resolve-and-prefetch stages of the batch engine,
+  // warming the directory/segment/bucket lines the given keys will
+  // touch. A pure hint — no semantic effect. ShardedStore uses it to
+  // overlap one shard's memory stalls with another shard's execution.
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
     uint64_t hashes[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // Guard: stage 2 dereferences directory entries.
+      // Guard: the DirProbe stage dereferences directory entries.
       epoch::EpochManager::Guard guard(*epochs_);
       PrefetchGroup(keys + base, n, hashes, for_write);
     }
@@ -344,26 +302,6 @@ class DashEH {
   bool SplitForTest(uint64_t h) { return Split(LookupLive(h), h); }
 
  private:
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stages and invoke
-  // exec(global_index, key, hash) for each.
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
   // ---- state-machine (AMAC) engine ----
   //
   // Monotonic per-op machines scheduled as state passes (util/amac.h):
@@ -469,53 +407,23 @@ class DashEH {
   }
 
   // Write engine: a fixed-schedule machine — every op takes exactly the
-  // same resolution steps, and the op body itself (which takes bucket
-  // locks and may run an SMO) must execute in one pass visit over warm
-  // lines. Two passes realize the schedule: resolve + prefetch every op
-  // (each issue overlaps the previous ops' in-flight lines), then
-  // execute in index order (which also preserves the batch API's
-  // same-type ordering).
+  // same resolution steps (PrefetchGroup's two passes, each issue
+  // overlapping the previous ops' in-flight lines), and the op body
+  // itself (which takes bucket locks and may run an SMO) must execute in
+  // one pass visit over warm lines. The execute pass runs in index order,
+  // which preserves the batch API's same-type ordering.
   template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, bool for_write,
-                   ExecFn exec) {
+  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
     util::AmacTelemetry& tele = util::AmacTelemetry::Local();
     uint64_t hashes[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
       epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      // One directory snapshot per group; the op bodies re-resolve
-      // through the live directory themselves.
-      EhDirectory* dir = CurrentDir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
+      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
-        hashes[i] = KP::Hash(keys[base + i]);
-        util::PrefetchRead(&entries[DirIndex(hashes[i], gd)]);
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        auto* seg = reinterpret_cast<Segment*>(
-            entries[DirIndex(hashes[i], gd)].load(std::memory_order_acquire));
-        if (for_write) {
-          util::PrefetchWrite(seg);
-        } else {
-          util::PrefetchRead(seg);
-        }
-        // Bucket addresses are pure arithmetic off the segment pointer,
-        // so the probe lines go in flight with the header.
-        seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
-                           opts_.use_probing_bucket, for_write);
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
         exec(base + i, keys[base + i], hashes[i]);
       }
-      ctr.FlushTo(tele);
+      tele.CountWriteGroup(n);
     }
   }
 
@@ -577,12 +485,15 @@ class DashEH {
     }
   }
 
-  // Stages 1-2 of the batch pipeline: hashes the group's keys into
-  // `hashes`, prefetching the directory entry line for each, then resolves
-  // the segment pointers and prefetches each segment header and target
-  // bucket lines. The directory snapshot may go stale concurrently; the
-  // execute stage revalidates through the normal LookupLive/SegmentValid
-  // path, so a stale prefetch costs at most an extra miss.
+  // The resolve-and-prefetch passes shared by the write engine and
+  // PrefetchBatch (caller holds an epoch guard). Hash pass: hash the
+  // group's keys into `hashes` and prefetch each directory entry.
+  // DirProbe pass: resolve the segment pointers and prefetch each segment
+  // header (for ownership on write batches) together with the target and
+  // probing bucket lines — bucket addresses are pure arithmetic off the
+  // segment pointer. One directory snapshot serves the group; the op
+  // bodies revalidate through LookupLive/SegmentValid, so a stale
+  // prefetch costs at most an extra miss.
   void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
                      bool for_write) {
     EhDirectory* dir = CurrentDir();
@@ -594,7 +505,7 @@ class DashEH {
     }
     for (size_t i = 0; i < n; ++i) {
       Segment* seg = dir->entry(DirIndex(hashes[i], gd));
-      util::PrefetchRead(seg);  // header: version / depth-state / pattern
+      util::Prefetch(seg, for_write);  // version / depth-state / pattern
       seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
                          opts_.use_probing_bucket, for_write);
     }

@@ -121,98 +121,46 @@ class DashLH {
 
   // ---- batched operations ----
   //
-  // Two engines (opts_.batch_pipeline), mirroring Dash-EH. The group
-  // pipeline (PR-1) prefetches the segment-pointer array slots and bucket
-  // lines stage-wise, then executes serially. The state-machine engine
-  // additionally interleaves the hybrid-expansion address resolution
+  // Per-op state machines (util/amac.h), mirroring Dash-EH. The search
+  // machine also interleaves the hybrid-expansion address resolution
   // (§5.2) itself: each op's (N, Next) snapshot, array-slot load, header
   // validation, helping-path detours, bucket probe and stash/chain scan
-  // are separate resumable steps, so the extra resolution work that
-  // diluted Dash-LH's group-pipeline overlap now runs under other ops'
-  // misses instead of in front of them.
+  // are separate resumable steps, so the extra resolution work runs under
+  // other ops' misses instead of in front of them.
 
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(
-        keys, count, /*for_write=*/false,
-        [&](size_t i, KeyArg key, uint64_t h, Segment* seg) {
-          // Probe the stage-2 segment directly, skipping the second
-          // hybrid-directory resolution; SegmentValid (state + pattern)
-          // rejects a stale pointer and the full retry path takes over.
-          OpStatus status = OpStatus::kRetry;
-          if (seg != nullptr && seg->version() == root_->global_version &&
-              seg->state() != Segment::kNew) {
-            status = seg->template Search<KP>(
-                key, h, opts_, &values[i],
-                [&] { return SegmentValid(seg, h); });
-          }
-          if (status == OpStatus::kRetry) {
-            status = SearchWithHash(key, h, &values[i]);
-          }
-          statuses[i] = status;
-        });
+    AmacMultiSearch(keys, count, values, statuses);
   }
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = InsertWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h, Segment*) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = InsertWithHash(key, values[i], h);
+    });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = UpdateWithHash(key, values[i], h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h, Segment*) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = UpdateWithHash(key, values[i], h);
+    });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, /*for_write=*/true,
-                  [&](size_t i, KeyArg key, uint64_t h) {
-                    statuses[i] = DeleteWithHash(key, h);
-                  });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h, Segment*) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = DeleteWithHash(key, h);
+    });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stages of the batch pipeline (pure hint; see
-  // DashEH::PrefetchBatch).
+  // Runs only the resolve-and-prefetch stages of the batch engine (pure
+  // hint; see DashEH::PrefetchBatch).
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
     uint64_t hashes[util::kBatchGroupWidth];
-    Segment* segs[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
       epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write, segs);
+      PrefetchGroup(keys + base, n, hashes, for_write);
     }
   }
 
@@ -305,37 +253,15 @@ class DashLH {
   void ExpandForTest() { TriggerExpand(); }
 
  private:
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stages and invoke
-  // exec(global_index, key, hash, segment) — the segment pointer resolved
-  // by stage 2 (possibly stale or null; the exec body must revalidate).
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    Segment* segs[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write, segs);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i], segs[i]);
-      }
-    }
-  }
-
   // ---- state-machine (AMAC) engine ----
   //
   // Monotonic per-op machines scheduled as state passes (util/amac.h).
   // Dash-LH's machine carries one more resolved artifact than Dash-EH's:
   // the hybrid-expansion walk (meta snapshot -> IndexFor -> EntryFor
   // binary search -> array slot) runs once per op in the Hash pass and
-  // caches the slot pointer, so the extra address-resolution work that
-  // diluted the group pipeline's overlap is both amortized and covered
-  // by the slot-line prefetch issued in the same pass.
+  // caches the slot pointer, so the extra address-resolution work is both
+  // amortized and covered by the slot-line prefetch issued in the same
+  // pass.
 
   // Interleaved search: Hash pass (hash; resolve + prefetch the
   // segment-pointer array slot) -> DirProbe pass (slot load; segment
@@ -359,8 +285,8 @@ class DashLH {
       util::AmacGroupCounters ctr;
       ++tele.groups;
       tele.ops += n;
-      // One (N, Next) snapshot per group, like the group pipeline: the
-      // execute pass revalidates against the live segment state.
+      // One (N, Next) snapshot per group: the execute pass revalidates
+      // against the live segment state.
       const uint64_t meta = root_->meta.load(std::memory_order_acquire);
       const uint32_t rounds = DashLhRoot::MetaN(meta);
       const uint32_t next = DashLhRoot::MetaNext(meta);
@@ -442,60 +368,23 @@ class DashLH {
     }
   }
 
-  // Write engine: resolve + prefetch passes (the Hash pass runs the
-  // hybrid-expansion walk and caches the array slot), then the locked op
-  // bodies in index order — the ordered execute pass preserves the batch
-  // API's same-type ordering, and the bodies revalidate through
+  // Write engine: PrefetchGroup's resolve + prefetch passes, then the
+  // locked op bodies in index order — the ordered execute pass preserves
+  // the batch API's same-type ordering, and the bodies revalidate through
   // LookupLive themselves, so a view gone stale since resolution costs
   // one warm retry.
   template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, bool for_write,
-                   ExecFn exec) {
+  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
     util::AmacTelemetry& tele = util::AmacTelemetry::Local();
     uint64_t hashes[util::kBatchGroupWidth];
-    std::atomic<uint64_t>* slots[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
       epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      const uint64_t meta = root_->meta.load(std::memory_order_acquire);
-      const uint32_t rounds = DashLhRoot::MetaN(meta);
-      const uint32_t next = DashLhRoot::MetaNext(meta);
+      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
-        hashes[i] = KP::Hash(keys[base + i]);
-        const uint64_t idx = IndexFor(SegBits(hashes[i]), rounds, next);
-        const size_t e = EntryFor(idx);
-        std::atomic<uint64_t>* array = ArrayAt(e);
-        slots[i] = array == nullptr ? nullptr : &array[idx - starts_[e]];
-        if (slots[i] != nullptr) {
-          util::PrefetchRead(slots[i]);
-        }
-        ctr.Suspend(util::AmacState::kHash);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        Segment* seg = slots[i] == nullptr
-                           ? nullptr
-                           : reinterpret_cast<Segment*>(
-                                 slots[i]->load(std::memory_order_acquire));
-        if (seg != nullptr) {
-          if (for_write) {
-            util::PrefetchWrite(seg);
-          } else {
-            util::PrefetchRead(seg);
-          }
-          seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
-                             opts_.use_probing_bucket, for_write);
-        }
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
         exec(base + i, keys[base + i], hashes[i]);
       }
-      ctr.FlushTo(tele);
+      tele.CountWriteGroup(n);
     }
   }
 
@@ -557,31 +446,34 @@ class DashLH {
     }
   }
 
-  // Stages 1-2 of the batch pipeline: hash the group, prefetch each key's
-  // segment-pointer array slot, then the segment header and target bucket
-  // lines. The (N, Next) snapshot may advance concurrently; the execute
-  // stage revalidates through LookupLive, so a stale prefetch costs at
-  // most an extra miss.
+  // The resolve-and-prefetch passes shared by the write engine and
+  // PrefetchBatch (caller holds an epoch guard). Hash pass: hash the
+  // group, run the hybrid-expansion walk (meta snapshot -> IndexFor ->
+  // EntryFor -> array slot) once per op and prefetch the slot line.
+  // DirProbe pass: load the cached slot and prefetch the segment header
+  // (for ownership on write batches) with the target bucket lines. The
+  // (N, Next) snapshot may advance concurrently; the op bodies revalidate
+  // through LookupLive, so a stale prefetch costs at most an extra miss.
   void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
-                     bool for_write, Segment** segs) {
+                     bool for_write) {
     const uint64_t meta = root_->meta.load(std::memory_order_acquire);
     const uint32_t rounds = DashLhRoot::MetaN(meta);
     const uint32_t next = DashLhRoot::MetaNext(meta);
-    uint64_t idxs[util::kBatchGroupWidth];
+    std::atomic<uint64_t>* slots[util::kBatchGroupWidth];
     for (size_t i = 0; i < n; ++i) {
       hashes[i] = KP::Hash(keys[i]);
-      idxs[i] = IndexFor(SegBits(hashes[i]), rounds, next);
-      const size_t e = EntryFor(idxs[i]);
+      const uint64_t idx = IndexFor(SegBits(hashes[i]), rounds, next);
+      const size_t e = EntryFor(idx);
       std::atomic<uint64_t>* array = ArrayAt(e);
-      if (array != nullptr) {
-        util::PrefetchRead(&array[idxs[i] - starts_[e]]);
-      }
+      slots[i] = array == nullptr ? nullptr : &array[idx - starts_[e]];
+      if (slots[i] != nullptr) util::PrefetchRead(slots[i]);
     }
     for (size_t i = 0; i < n; ++i) {
-      Segment* seg = SlotAt(idxs[i]);
-      segs[i] = seg;
+      if (slots[i] == nullptr) continue;
+      auto* seg = reinterpret_cast<Segment*>(
+          slots[i]->load(std::memory_order_acquire));
       if (seg == nullptr) continue;
-      util::PrefetchRead(seg);  // header: version / depth-state / pattern
+      util::Prefetch(seg, for_write);  // version / depth-state / pattern
       seg->PrefetchProbe(hashes[i], opts_.buckets_per_segment,
                          opts_.use_probing_bucket, for_write);
     }

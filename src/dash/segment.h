@@ -110,9 +110,15 @@ class Segment {
     return reinterpret_cast<uint64_t*>(&depth_state_);
   }
 
-  uint64_t pattern() const { return pattern_; }
+  // Relaxed atomics: lock-free searches validate against the pattern
+  // (SegmentValid) while a split rewrites it.
+  uint64_t pattern() const {
+    return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(pattern_))
+        .load(std::memory_order_relaxed);
+  }
   void SetPattern(uint64_t pattern) {
-    pattern_ = pattern;
+    std::atomic_ref<uint64_t>(pattern_).store(pattern,
+                                              std::memory_order_relaxed);
     pmem::Persist(&pattern_, sizeof(pattern_));
   }
 
@@ -175,12 +181,7 @@ class Segment {
     // first, but the matching record is in one of the three record lines.
     util::PrefetchRange(b0, sizeof(Bucket), for_write);
     if (probing_bucket) {
-      const Bucket* b1 = bucket((y0 + 1) & (num_buckets - 1));
-      if (for_write) {
-        util::PrefetchWrite(b1);
-      } else {
-        util::PrefetchRead(b1);
-      }
+      util::Prefetch(bucket((y0 + 1) & (num_buckets - 1)), for_write);
     }
   }
 

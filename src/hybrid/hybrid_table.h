@@ -289,7 +289,6 @@ struct HybridOptions {
   uint32_t initial_depth = 1;
   uint32_t log_lanes = 16;            // power of two <= kMaxLanes
   uint32_t records_per_chunk = 2048;  // 64 KB PM chunks
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
   // Checkpoint file path; empty disables checkpoint write and load.
   std::string checkpoint_path;
   // Lane-parallel rebuild workers for the full-scan recovery path.
@@ -473,58 +472,28 @@ class HybridTable {
 
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = SearchWithHash(key, h, &values[i]);
-                 });
+    AmacMultiSearch(keys, count, values, statuses);
   }
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = InsertWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = InsertWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = InsertWithHash(key, values[i], h);
+    });
   }
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = UpdateWithHash(key, values[i], h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = UpdateWithHash(key, values[i], h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = UpdateWithHash(key, values[i], h);
+    });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-        statuses[i] = DeleteWithHash(key, h);
-      });
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/true,
-                 [&](size_t i, KeyArg key, uint64_t h) {
-                   statuses[i] = DeleteWithHash(key, h);
-                 });
+    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
+      statuses[i] = DeleteWithHash(key, h);
+    });
   }
-
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
 
   void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
     uint64_t hashes[util::kBatchGroupWidth];
@@ -1691,20 +1660,10 @@ class HybridTable {
 
   // ---- batch scaffolding ----
 
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-    }
-  }
-
+  // The resolve-and-prefetch passes shared by the write engine and
+  // PrefetchBatch (caller holds an epoch guard): directory entries, then
+  // each segment header (for ownership on write batches — it holds the
+  // version lock) and the target DRAM bucket.
   void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
                      bool for_write) {
     HybridDirectory* dir = Dir();
@@ -1719,11 +1678,7 @@ class HybridTable {
       const uint64_t idx = gd == 0 ? 0 : (hashes[i] >> (64 - gd));
       auto* seg = reinterpret_cast<HybridSegment*>(
           entries[idx].load(std::memory_order_acquire));
-      if (for_write) {
-        util::PrefetchWrite(seg);  // header line holds the version lock
-      } else {
-        util::PrefetchRead(seg);
-      }
+      util::Prefetch(seg, for_write);  // header holds the version lock
       util::PrefetchRange(
           seg->bucket(HybridSegment::BucketIndex(hashes[i], seg->num_buckets)),
           sizeof(HybridBucket));
@@ -1866,39 +1821,15 @@ class HybridTable {
   template <typename ExecFn>
   void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
     util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    AmacOp ops[util::kBatchGroupWidth];
+    uint64_t hashes[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
       const size_t n = std::min(util::kBatchGroupWidth, count - base);
       epoch::EpochManager::Guard guard(*epochs_);
-      util::AmacGroupCounters ctr;
-      ++tele.groups;
-      tele.ops += n;
-      HybridDirectory* dir = Dir();
-      const uint64_t gd = dir->global_depth;
-      std::atomic<uint64_t>* entries = dir->entries();
+      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
-        ops[i].hash = KP::Hash(keys[base + i]);
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        util::PrefetchRead(&entries[idx]);
-        ctr.Suspend(util::AmacState::kHash);
+        exec(base + i, keys[base + i], hashes[i]);
       }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        const uint64_t idx = gd == 0 ? 0 : (ops[i].hash >> (64 - gd));
-        auto* seg = reinterpret_cast<HybridSegment*>(
-            entries[idx].load(std::memory_order_acquire));
-        util::PrefetchWrite(seg);
-        util::PrefetchRange(
-            seg->bucket(HybridSegment::BucketIndex(ops[i].hash,
-                                                   seg->num_buckets)),
-            sizeof(HybridBucket));
-        ctr.Suspend(util::AmacState::kDirProbe);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ++ctr.steps;
-        exec(base + i, keys[base + i], ops[i].hash);
-      }
-      ctr.FlushTo(tele);
+      tele.CountWriteGroup(n);
     }
   }
 

@@ -114,8 +114,6 @@ struct LevelRoot {
 struct LevelOptions {
   // Initial top-level bucket count (power of two). 2^10 x 128 B = 128 KB.
   uint64_t initial_top_buckets = 1024;
-  // Batch engine behind Multi* (see dash::BatchPipeline).
-  BatchPipeline batch_pipeline = BatchPipeline::kAmac;
 };
 
 struct LevelStats {
@@ -197,41 +195,31 @@ class LevelHashing {
 
   // ---- batched operations ----
   //
-  // Two engines (opts_.batch_pipeline). kGroup (PR-1): compute both hash
-  // choices for every key in the group, prefetch all four candidate
-  // buckets (two top, two bottom), then run the ordinary per-op logic
-  // serially over warm cachelines. kAmac splits the two-level reprobe
-  // into resumable halves: each search prefetches only its two top-level
-  // candidates first, yields, probes them, and only on a top-level miss
-  // prefetches + probes the bottom (standby) level — so one op's
-  // bottom-level fill overlaps other ops' top-level probes, and top-level
-  // hits never fetch bottom lines at all. Searches are optimistic (no
-  // stripe or resize lock held), so every suspend point is lock-free; a
-  // resize that commits mid-group fails the per-op revalidation and the
-  // op finishes through the Retry path. One epoch guard per group in both
-  // engines.
+  // Searches run per-op state machines (util/amac.h) that split the
+  // two-level reprobe into resumable halves: each search prefetches only
+  // its two top-level candidates first, yields, probes them, and only on
+  // a top-level miss prefetches + probes the bottom (standby) level — so
+  // one op's bottom-level fill overlaps other ops' top-level probes, and
+  // top-level hits never fetch bottom lines at all. Searches are
+  // optimistic (no stripe or resize lock held), so every suspend point is
+  // lock-free; a resize that commits mid-group fails the per-op
+  // revalidation and the op finishes through the Retry path. One epoch
+  // guard per group of kBatchGroupWidth ops.
 
   void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
                    OpStatus* statuses) {
-    if (opts_.batch_pipeline == BatchPipeline::kAmac) {
-      AmacMultiSearch(keys, count, values, statuses);
-      return;
-    }
-    ForEachGroup(keys, count, /*for_write=*/false,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = SearchWithHashes(key, h1, h2, &values[i]);
-                 });
+    AmacMultiSearch(keys, count, values, statuses);
   }
 
-  // Write batches use the group pipeline under both settings: a Level
-  // write probes all four candidates while holding every involved stripe
-  // lock (LockAll), so there is no lock-free program point left to
-  // suspend at — the state machine would degenerate to exactly the group
-  // pipeline's prefetch-then-execute schedule.
+  // Write batches run ForEachGroup's prefetch-then-execute schedule: a
+  // Level write probes all four candidates while holding every involved
+  // stripe lock (LockAll), so there is no lock-free program point left to
+  // suspend at — a state machine would degenerate to exactly this
+  // schedule.
 
   void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
+    ForEachGroup(keys, count,
                  [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
                    statuses[i] = InsertWithHashes(key, values[i], h1, h2);
                  });
@@ -239,23 +227,20 @@ class LevelHashing {
 
   void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
                    OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
+    ForEachGroup(keys, count,
                  [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
                    statuses[i] = UpdateWithHashes(key, values[i], h1, h2);
                  });
   }
 
   void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    ForEachGroup(keys, count, /*for_write=*/true,
+    ForEachGroup(keys, count,
                  [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
                    statuses[i] = DeleteWithHashes(key, h1, h2);
                  });
   }
 
-  // Batch-engine selector (A/B testing hook; volatile).
-  void set_batch_pipeline(BatchPipeline p) { opts_.batch_pipeline = p; }
-
-  // Runs only the prefetch stage of the batch pipeline (pure hint; see
+  // Runs only the prefetch stage of the batch engine (pure hint; see
   // DashEH::PrefetchBatch). No epoch guard needed: the stage computes
   // candidate addresses without dereferencing them, and a prefetch of a
   // concurrently retired block never faults.
@@ -329,12 +314,11 @@ class LevelHashing {
     uint64_t ids[4];  // global bucket ids (top: [0,N), bottom: N + [0,N/2))
   };
 
-  // Batch scaffold: per group of
-  // kBatchGroupWidth operations run the prefetch stage and invoke
-  // exec(global_index, key, h1, h2) for each.
+  // Write engine: per group of kBatchGroupWidth operations run the
+  // prefetch stage (for ownership) and invoke exec(global_index, key, h1,
+  // h2) for each.
   template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, bool for_write,
-                    ExecFn exec) {
+  void ForEachGroup(const KeyArg* keys, size_t count, ExecFn exec) {
     uint64_t h1s[util::kBatchGroupWidth];
     uint64_t h2s[util::kBatchGroupWidth];
     for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
@@ -343,7 +327,7 @@ class LevelHashing {
       // kBatchGroupWidth ops without stalling reclamation for the whole
       // (unbounded) batch.
       epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, h1s, h2s, for_write);
+      PrefetchGroup(keys + base, n, h1s, h2s, /*for_write=*/true);
       for (size_t i = 0; i < n; ++i) {
         exec(base + i, keys[base + i], h1s[i], h2s[i]);
       }
@@ -364,7 +348,7 @@ class LevelHashing {
       // resize — pool exhausted, or the (virtually impossible, 5x
       // headroom) cuckoo-displacement overflow — means the table cannot
       // grow; surface that instead of retrying forever.
-      if (!Resize(root_->top_buckets)) return OpStatus::kOutOfMemory;
+      if (!Resize(TopBuckets())) return OpStatus::kOutOfMemory;
     }
   }
 
@@ -573,8 +557,8 @@ class LevelHashing {
     return found ? OpStatus::kOk : OpStatus::kNotFound;
   }
 
-  // Stage 1 of the batch pipeline: hash the group and prefetch the first
-  // cacheline (bitmap word + first records) of all four candidate buckets.
+  // The prefetch stage shared by the write engine and PrefetchBatch: hash
+  // the group and prefetch both cachelines of all four candidate buckets.
   // The top/bottom pointers and bucket count may be swapped by a
   // concurrent resize (hence the atomic snapshot of the count — the
   // resize commit writes it); the snapshot triple may be mutually
@@ -583,9 +567,7 @@ class LevelHashing {
   // lock. A stale prefetch costs at most an extra miss.
   void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* h1s,
                      uint64_t* h2s, bool for_write) const {
-    const uint64_t buckets =
-        reinterpret_cast<const std::atomic<uint64_t>*>(&root_->top_buckets)
-            ->load(std::memory_order_acquire);
+    const uint64_t buckets = TopBuckets();
     LevelBucket* top = Top();
     LevelBucket* bottom = Bottom();
     for (size_t i = 0; i < n; ++i) {
@@ -602,6 +584,12 @@ class LevelHashing {
     }
   }
 
+  // Bucket count read outside the resize lock, racing the resize
+  // commit's atomic store.
+  uint64_t TopBuckets() const {
+    return reinterpret_cast<const std::atomic<uint64_t>*>(&root_->top_buckets)
+        ->load(std::memory_order_acquire);
+  }
   LevelBucket* Top() const {
     return reinterpret_cast<LevelBucket*>(
         reinterpret_cast<const std::atomic<uint64_t>*>(&root_->top)->load(
@@ -621,9 +609,7 @@ class LevelHashing {
     // Atomic snapshot: lock-free searches race the resize commit's
     // atomic store of the bucket count (a mutually inconsistent
     // (n, top, bottom) triple is discarded by the resize-version check).
-    const uint64_t n =
-        reinterpret_cast<const std::atomic<uint64_t>*>(&root_->top_buckets)
-            ->load(std::memory_order_acquire);
+    const uint64_t n = TopBuckets();
     const uint64_t t1 = h1 & (n - 1);
     const uint64_t t2 = h2 & (n - 1);
     // Bottom indices use h mod (N/2). This is what makes resizing work:

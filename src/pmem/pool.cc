@@ -342,7 +342,9 @@ size_t PmPool::AddRetire(void* block) {
   auto* retire = FromOffset<RetireBuffer>(header()->retire_offset);
   util::SpinLockGuard guard(retire_lock_);
   for (size_t i = 0; i < RetireBuffer::kSlots; ++i) {
-    if (retire->blocks[i] == 0 && ((retire_claimed_ >> i) & 1) == 0) {
+    // Claim bit first: CompleteRetire clears a claimed slot's word outside
+    // the lock, so only an unclaimed slot's word may be read here.
+    if (((retire_claimed_ >> i) & 1) == 0 && retire->blocks[i] == 0) {
       retire->blocks[i] = ToOffset(block);
       PersistObject(&retire->blocks[i]);
       retire_claimed_ |= 1ull << i;
@@ -357,7 +359,8 @@ size_t PmPool::StageRetire(MiniTx* tx, void* block) {
   auto* retire = FromOffset<RetireBuffer>(header()->retire_offset);
   util::SpinLockGuard guard(retire_lock_);
   for (size_t i = 0; i < RetireBuffer::kSlots; ++i) {
-    if (retire->blocks[i] == 0 && ((retire_claimed_ >> i) & 1) == 0) {
+    // Claim bit first, as in AddRetire.
+    if (((retire_claimed_ >> i) & 1) == 0 && retire->blocks[i] == 0) {
       retire_claimed_ |= 1ull << i;
       tx->Stage(&retire->blocks[i], ToOffset(block));
       return i;

@@ -1,12 +1,12 @@
-// AMAC (Asynchronous Memory Access Chaining) scheduler for the batched
-// operation pipeline.
+// AMAC (Asynchronous Memory Access Chaining) scheduler: the one batch
+// engine behind every table's Multi* entry points.
 //
-// The PR-1 group pipeline overlapped only the *prefetch* stages: hash and
-// prefetch every directory entry, resolve and prefetch every bucket, then
-// execute each operation serially. Misses taken *inside* the execute stage
-// — stash probes, Dash-LH's extra address-resolution walk, Level hashing's
-// bottom-level reprobe, SMO-triggered re-reads — still stalled the core
-// once per operation.
+// Overlapping only the *prefetch* stages of a batch — hash and prefetch
+// every directory entry, resolve and prefetch every bucket, then execute
+// each operation serially — still stalls the core once per operation on
+// misses taken *inside* the execute stage: stash probes, Dash-LH's extra
+// address-resolution walk, Level hashing's bottom-level reprobe,
+// SMO-triggered re-reads.
 //
 // This engine instead keeps up to kBatchGroupWidth in-flight per-operation
 // state machines: whenever one operation is about to dereference a cold
@@ -22,10 +22,18 @@
 // the passes directly (plain loops plus an AmacReadyList of suspended
 // continuations) rather than through a generic per-step dispatcher:
 // measured on the fixed-schedule common path, per-step dispatch costs
-// ~5 % of the whole operation, which is the difference between beating
-// the PR-1 group pipeline and losing to it. The shared pieces here are
-// the state vocabulary, the ready-list, and the suspend/resume telemetry
-// surfaced by bench_batch.
+// ~5 % of the whole operation. The shared pieces here are the state
+// vocabulary, the ready-list, and the suspend/resume telemetry surfaced
+// by bench_batch and bench_suite.
+//
+// Write engines. Write ops hold locks across their whole body (see the
+// constraint below), so every table's write engine is a fixed schedule:
+// the table's PrefetchGroup runs the Hash and DirProbe passes, then the
+// locked op bodies execute in index order (CountWriteGroup records it).
+// PrefetchGroup is the table's only resolve-and-prefetch code;
+// PrefetchBatch reuses it for ShardedStore's cross-shard priming. Level
+// hashing's write engine runs the same prefetch-then-execute schedule
+// without suspend telemetry.
 //
 // Scheduling constraint: a state machine must never yield while holding a
 // lock another operation in the same group could need — the scheduler is
@@ -87,6 +95,17 @@ struct AmacTelemetry {
   uint64_t groups = 0;                      // groups scheduled
 
   void Suspend(AmacState s) { ++suspends[static_cast<size_t>(s)]; }
+
+  // Counts one group of the tables' fixed-schedule write engine: a Hash
+  // pass and a DirProbe pass (each op suspends once after each), then the
+  // execute pass — two steps per op.
+  void CountWriteGroup(size_t n) {
+    ++groups;
+    ops += n;
+    suspends[static_cast<size_t>(AmacState::kHash)] += n;
+    suspends[static_cast<size_t>(AmacState::kDirProbe)] += n;
+    steps += 2 * n;
+  }
 
   uint64_t TotalSuspends() const {
     uint64_t t = 0;

@@ -41,17 +41,23 @@ inline void PrefetchWrite(const void* addr) {
 #endif
 }
 
+// PrefetchWrite for lines a write batch will lock or store to,
+// PrefetchRead otherwise.
+inline void Prefetch(const void* addr, bool for_write) {
+  if (for_write) {
+    PrefetchWrite(addr);
+  } else {
+    PrefetchRead(addr);
+  }
+}
+
 // Prefetches every cacheline of [addr, addr + bytes).
 inline void PrefetchRange(const void* addr, size_t bytes, bool for_write = false) {
   const auto start = reinterpret_cast<uintptr_t>(addr);
   const uintptr_t first = start & ~(kPrefetchLineSize - 1);
   const uintptr_t last = (start + bytes - 1) & ~(kPrefetchLineSize - 1);
   for (uintptr_t line = first; line <= last; line += kPrefetchLineSize) {
-    if (for_write) {
-      PrefetchWrite(reinterpret_cast<const void*>(line));
-    } else {
-      PrefetchRead(reinterpret_cast<const void*>(line));
-    }
+    Prefetch(reinterpret_cast<const void*>(line), for_write);
   }
 }
 

@@ -71,10 +71,6 @@ TEST_P(MultiExecuteTest, MixedBatchesMatchSerialExecution) {
   const size_t batch_sizes[] = {1, 7, 16, 100, 257, 1000};
 
   for (int round = 0; round < kRounds; ++round) {
-    // Alternate the batch engine round to round: both must implement the
-    // same serial-equivalent semantics.
-    index->SetBatchPipeline(round % 2 == 0 ? BatchPipeline::kAmac
-                                           : BatchPipeline::kGroup);
     const size_t n = batch_sizes[round % std::size(batch_sizes)];
     // Distinct keys within one batch (shuffle-free rejection sampling).
     std::vector<Op> ops;
@@ -127,91 +123,84 @@ TEST_P(MultiExecuteTest, MixedBatchesMatchSerialExecution) {
 // Mid-batch SMO coverage: one MultiExecute batch whose inserts force the
 // table's structural modification (Dash-EH segment splits + directory
 // doubling, Dash-LH linear-hash expansions, CCEH directory doubling,
-// Level hashing's full-table resize) partway through the batch, under
-// both batch engines. Statuses and final contents must match the serial
-// model, including the searches/updates/deletes of preloaded keys whose
-// records physically move while the batch is in flight.
+// Level hashing's full-table resize) partway through the batch.
+// Statuses and final contents must match the serial model, including the
+// searches/updates/deletes of preloaded keys whose records physically
+// move while the batch is in flight.
 TEST_P(MultiExecuteTest, MidBatchSmoMatchesSerialModel) {
-  for (const BatchPipeline pipeline :
-       {BatchPipeline::kGroup, BatchPipeline::kAmac}) {
-    const char* pname = pipeline == BatchPipeline::kAmac ? "amac" : "group";
-    test::TempPoolFile file(std::string("mexec_smo_") + pname + "_" +
-                            IndexKindName(GetParam()));
-    auto pool = test::CreatePool(file);
-    ASSERT_NE(pool, nullptr);
-    epoch::EpochManager epochs;
-    auto index =
-        CreateKvIndex(GetParam(), pool.get(), &epochs, SmallTableOptions());
-    ASSERT_NE(index, nullptr);
-    index->SetBatchPipeline(pipeline);
+  test::TempPoolFile file(std::string("mexec_smo_") +
+                          IndexKindName(GetParam()));
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  auto index =
+      CreateKvIndex(GetParam(), pool.get(), &epochs, SmallTableOptions());
+  ASSERT_NE(index, nullptr);
 
-    std::map<uint64_t, uint64_t> model;
-    constexpr uint64_t kPreload = 300;
-    for (uint64_t k = 1; k <= kPreload; ++k) {
-      ASSERT_EQ(index->Insert(k, k * 7), Status::kOk);
-      model[k] = k * 7;
-    }
-    const uint64_t capacity_before = index->Stats().capacity_slots;
-
-    // ~2400 ops, two thirds fresh-key inserts (enough to overflow the
-    // small table several times over), interleaved with ops on preloaded
-    // keys. Every key appears at most once in the batch, so the
-    // documented type-group reordering is unobservable and the serial
-    // model is exact.
-    constexpr size_t kOps = 2400;
-    std::vector<Op> ops;
-    uint64_t fresh = 1000;
-    uint64_t preloaded = 0;
-    for (size_t i = 0; i < kOps; ++i) {
-      if (i % 3 != 2 || preloaded >= kPreload) {
-        ops.push_back(Op::Insert(++fresh, i));
-      } else {
-        const uint64_t key = ++preloaded;
-        switch (preloaded % 3) {
-          case 0: ops.push_back(Op::Search(key)); break;
-          case 1: ops.push_back(Op::Update(key, key + 100000)); break;
-          default: ops.push_back(Op::Delete(key)); break;
-        }
-      }
-    }
-
-    std::vector<Op> expected_ops = ops;
-    std::vector<Status> expected(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      expected[i] = ApplyToModel(&model, &expected_ops[i]);
-    }
-
-    std::vector<Status> statuses(ops.size());
-    index->MultiExecute(ops.data(), ops.size(), statuses.data());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      ASSERT_EQ(statuses[i], expected[i])
-          << pname << " slot " << i << " op " << OpTypeName(ops[i].type)
-          << " key " << ops[i].key;
-      if (ops[i].type == OpType::kSearch && IsOk(statuses[i])) {
-        ASSERT_EQ(ops[i].value, expected_ops[i].value)
-            << pname << " key " << ops[i].key;
-      }
-    }
-
-    // The batch must actually have straddled at least one SMO, and the
-    // table must agree with the model record-for-record afterwards.
-    const IndexStats stats = index->Stats();
-    EXPECT_GT(stats.capacity_slots, capacity_before)
-        << "batch did not trigger a structural modification";
-    EXPECT_EQ(stats.records, model.size());
-    EXPECT_TRUE(stats.pool_page_bytes == 4096 ||
-                stats.pool_page_bytes == (2ull << 20))
-        << stats.pool_page_bytes;
-    for (const auto& [key, value] : model) {
-      uint64_t got = 0;
-      ASSERT_EQ(index->Search(key, &got), Status::kOk)
-          << pname << " key " << key;
-      ASSERT_EQ(got, value) << pname << " key " << key;
-    }
-
-    index->CloseClean();
-    pool->CloseClean();
+  std::map<uint64_t, uint64_t> model;
+  constexpr uint64_t kPreload = 300;
+  for (uint64_t k = 1; k <= kPreload; ++k) {
+    ASSERT_EQ(index->Insert(k, k * 7), Status::kOk);
+    model[k] = k * 7;
   }
+  const uint64_t capacity_before = index->Stats().capacity_slots;
+
+  // ~2400 ops, two thirds fresh-key inserts (enough to overflow the
+  // small table several times over), interleaved with ops on preloaded
+  // keys. Every key appears at most once in the batch, so the
+  // documented type-group reordering is unobservable and the serial
+  // model is exact.
+  constexpr size_t kOps = 2400;
+  std::vector<Op> ops;
+  uint64_t fresh = 1000;
+  uint64_t preloaded = 0;
+  for (size_t i = 0; i < kOps; ++i) {
+    if (i % 3 != 2 || preloaded >= kPreload) {
+      ops.push_back(Op::Insert(++fresh, i));
+    } else {
+      const uint64_t key = ++preloaded;
+      switch (preloaded % 3) {
+        case 0: ops.push_back(Op::Search(key)); break;
+        case 1: ops.push_back(Op::Update(key, key + 100000)); break;
+        default: ops.push_back(Op::Delete(key)); break;
+      }
+    }
+  }
+
+  std::vector<Op> expected_ops = ops;
+  std::vector<Status> expected(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    expected[i] = ApplyToModel(&model, &expected_ops[i]);
+  }
+
+  std::vector<Status> statuses(ops.size());
+  index->MultiExecute(ops.data(), ops.size(), statuses.data());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ASSERT_EQ(statuses[i], expected[i])
+        << "slot " << i << " op " << OpTypeName(ops[i].type)
+        << " key " << ops[i].key;
+    if (ops[i].type == OpType::kSearch && IsOk(statuses[i])) {
+      ASSERT_EQ(ops[i].value, expected_ops[i].value) << "key " << ops[i].key;
+    }
+  }
+
+  // The batch must actually have straddled at least one SMO, and the
+  // table must agree with the model record-for-record afterwards.
+  const IndexStats stats = index->Stats();
+  EXPECT_GT(stats.capacity_slots, capacity_before)
+      << "batch did not trigger a structural modification";
+  EXPECT_EQ(stats.records, model.size());
+  EXPECT_TRUE(stats.pool_page_bytes == 4096 ||
+              stats.pool_page_bytes == (2ull << 20))
+      << stats.pool_page_bytes;
+  for (const auto& [key, value] : model) {
+    uint64_t got = 0;
+    ASSERT_EQ(index->Search(key, &got), Status::kOk) << "key " << key;
+    ASSERT_EQ(got, value) << "key " << key;
+  }
+
+  index->CloseClean();
+  pool->CloseClean();
 }
 
 // Same-type ops keep their relative order even when the batch mixes

@@ -396,10 +396,20 @@ TEST(ShardedStoreTest, StatsSnapshotsQueuedBatches) {
 }
 
 // The sequential scatter/execute/gather path (async.workers = false) must
-// stay semantically identical to the executor-backed wrappers.
-TEST(ShardedStoreTest, InlineModeMatchesModel) {
-  TempShardPaths paths("store_inline", 4);
+// stay semantically identical to the executor-backed wrappers, on every
+// table kind. Its cross-shard priming is the only caller of
+// PrefetchBatch, so the mixed batches below — small enough to be primed,
+// with read and write hints — run every table's resolve-and-prefetch
+// helper, and one of them must straddle a structural modification.
+class ShardedStoreKindTest : public ::testing::TestWithParam<IndexKind> {};
+
+TEST_P(ShardedStoreKindTest, InlineModeMatchesModel) {
+  TempShardPaths paths(
+      std::string("store_inline_") + IndexKindName(GetParam()), 4);
   ShardedStoreOptions options = SmallStoreOptions(paths.prefix(), 4);
+  options.kind = GetParam();
+  options.table.lh_base_segments = 4;  // Dash-LH: expand early
+  options.table.lh_stride = 2;
   options.async.workers = false;
   auto store = ShardedStore::Open(options);
   ASSERT_NE(store, nullptr);
@@ -433,6 +443,69 @@ TEST(ShardedStoreTest, InlineModeMatchesModel) {
     ASSERT_EQ(ops[i].value, values[i]);
   }
 
+  // Mixed batches of 200 distinct keys: two thirds fresh inserts, the
+  // rest searches, updates and deletes of live keys. Distinct keys make
+  // the documented type-group reordering unobservable, so the serial
+  // model is exact. Runs until a batch grows the capacity mid-flight.
+  std::map<uint64_t, uint64_t> model;
+  std::vector<uint64_t> live;
+  for (size_t i = 0; i < kN; ++i) {
+    model[keys[i]] = values[i];
+    live.push_back(keys[i]);
+  }
+  util::Xoshiro256 rng(static_cast<uint64_t>(GetParam()) + 5);
+  uint64_t fresh = kN;
+  bool straddled = false;
+  for (int round = 0; round < 80 && !straddled; ++round) {
+    const uint64_t capacity_before = store->Stats().totals.capacity_slots;
+    std::vector<Op> batch;
+    std::map<uint64_t, bool> used;
+    while (batch.size() < 200) {
+      if (batch.size() % 3 != 2) {
+        batch.push_back(Op::Insert(++fresh, rng.Next()));
+        continue;
+      }
+      const size_t pick = rng.NextBounded(live.size());
+      const uint64_t key = live[pick];
+      if (used[key]) continue;
+      used[key] = true;
+      switch (rng.NextBounded(3)) {
+        case 0: batch.push_back(Op::Search(key)); break;
+        case 1: batch.push_back(Op::Update(key, rng.Next())); break;
+        default:
+          batch.push_back(Op::Delete(key));
+          live[pick] = live.back();
+          live.pop_back();
+          break;
+      }
+    }
+    std::vector<Status> batch_statuses(batch.size());
+    store->MultiExecute(batch.data(), batch.size(), batch_statuses.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Op& op = batch[i];
+      ASSERT_EQ(batch_statuses[i], Status::kOk)
+          << "round " << round << " " << OpTypeName(op.type) << " key "
+          << op.key;
+      switch (op.type) {
+        case OpType::kSearch: ASSERT_EQ(op.value, model[op.key]); break;
+        case OpType::kInsert:
+          model[op.key] = op.value;
+          live.push_back(op.key);
+          break;
+        case OpType::kUpdate: model[op.key] = op.value; break;
+        case OpType::kDelete: model.erase(op.key); break;
+      }
+    }
+    straddled = store->Stats().totals.capacity_slots > capacity_before;
+  }
+  EXPECT_TRUE(straddled) << "no mixed batch straddled a structural change";
+  EXPECT_EQ(store->Stats().totals.records, model.size());
+  uint64_t value = 0;
+  for (const auto& [key, expected] : model) {
+    ASSERT_EQ(store->Search(key, &value), Status::kOk) << "key " << key;
+    ASSERT_EQ(value, expected) << "key " << key;
+  }
+
   store->CloseClean();
   // The inline wrappers reject after close, like the executor path.
   store->MultiDelete(keys.data(), kN, statuses.data());
@@ -440,6 +513,20 @@ TEST(ShardedStoreTest, InlineModeMatchesModel) {
     ASSERT_EQ(statuses[i], Status::kInvalidArgument);
   }
 }
+
+std::string KindTestName(const ::testing::TestParamInfo<IndexKind>& info) {
+  std::string name = IndexKindName(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ShardedStoreKindTest,
+                         ::testing::Values(IndexKind::kDashEH,
+                                           IndexKind::kDashLH,
+                                           IndexKind::kCCEH,
+                                           IndexKind::kLevel,
+                                           IndexKind::kHybrid),
+                         KindTestName);
 
 TEST(ShardedStoreTest, RejectsBadOptions) {
   EXPECT_EQ(ShardedStore::Open({}), nullptr);  // empty prefix
