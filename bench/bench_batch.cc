@@ -300,10 +300,11 @@ void PrintJson(const std::string& table, const std::string& op,
       "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"op\":\"%s\","
       "\"mode\":\"%s\",\"batch\":%zu,\"threads\":%d,\"shards\":%zu,"
       "\"mops\":%.4f,"
-      "\"reads_per_op\":%.2f,\"clwb_per_op\":%.2f%s}\n",
+      "\"reads_per_op\":%.2f,\"clwb_per_op\":%.2f,"
+      "\"fences_per_op\":%.2f%s}\n",
       table.c_str(), op.c_str(), mode.c_str(), batch, threads, shards,
-      result.mops, result.reads_per_op,
-      result.clwb_per_op, extra.c_str());
+      result.mops, result.reads_per_op, result.clwb_per_op,
+      result.fences_per_op, extra.c_str());
   std::fflush(stdout);
 }
 

@@ -154,6 +154,8 @@ PhaseResult RunParallel(
   const pmem::PmStats stats = pmem::AggregatePmStats();
   result.clwb_per_op =
       static_cast<double>(stats.clwb) / static_cast<double>(total_ops);
+  result.fences_per_op =
+      static_cast<double>(stats.fence) / static_cast<double>(total_ops);
   result.reads_per_op =
       static_cast<double>(stats.read_probes) / static_cast<double>(total_ops);
   result.lockwrites_per_op =
@@ -232,15 +234,16 @@ PhaseResult MixedPhase(api::KvIndex* table, uint64_t preloaded, uint64_t ops,
 
 void PrintHeader(const std::string& bench) {
   std::printf("# %s\n", bench.c_str());
-  std::printf("%-28s %-10s %-12s %8s %10s %10s %10s %12s\n", "bench", "table",
-              "op", "threads", "Mops/s", "clwb/op", "reads/op", "lockwr/op");
+  std::printf("%-28s %-10s %-12s %8s %10s %10s %10s %10s %12s\n", "bench",
+              "table", "op", "threads", "Mops/s", "clwb/op", "fence/op",
+              "reads/op", "lockwr/op");
 }
 
 void PrintRow(const std::string& bench, const std::string& table,
               const std::string& op, int threads, const PhaseResult& result) {
-  std::printf("%-28s %-10s %-12s %8d %10.3f %10.2f %10.2f %12.2f\n",
+  std::printf("%-28s %-10s %-12s %8d %10.3f %10.2f %10.2f %10.2f %12.2f\n",
               bench.c_str(), table.c_str(), op.c_str(), threads, result.mops,
-              result.clwb_per_op, result.reads_per_op,
+              result.clwb_per_op, result.fences_per_op, result.reads_per_op,
               result.lockwrites_per_op);
   std::fflush(stdout);
 }

@@ -125,6 +125,7 @@ struct PhaseResult {
   double mops = 0;
   double seconds = 0;
   double clwb_per_op = 0;
+  double fences_per_op = 0;
   double reads_per_op = 0;
   double lockwrites_per_op = 0;
 };

@@ -30,6 +30,12 @@
 
 namespace dash {
 
+// When a record operation makes its own stores durable. kEach persists
+// them inside the operation (Algorithm 2's record-then-metadata order).
+// kDeferred leaves every flush to the caller: a split fills a segment that
+// no other operation can reach, then persists it once (Segment::SplitInto).
+enum class Flush : uint8_t { kEach, kDeferred };
+
 // A 16-byte key-value record. `key` holds the key inline or a pointer to a
 // PM-resident VarKey blob; `value` is an opaque 8-byte payload (§4.1).
 struct Record {
@@ -264,13 +270,16 @@ class Bucket {
   // displacement, §4.3). Crash-consistent per Algorithm 2: record first,
   // then fingerprint + bitmap/counter in one atomic store + one flush.
   // Returns false when full.
+  template <Flush F = Flush::kEach>
   bool Insert(uint64_t stored_key, uint64_t value, uint8_t fp, bool member) {
     const uint32_t m = meta_.load(std::memory_order_relaxed);
     const int slot = FirstFreeSlot(m);
     if (slot < 0) return false;
     Store(records_[slot].key, stored_key);
     Store(records_[slot].value, value);
-    pmem::Persist(&records_[slot], sizeof(Record));  // persist record first
+    if constexpr (F == Flush::kEach) {
+      pmem::Persist(&records_[slot], sizeof(Record));  // persist record first
+    }
 
     // Atomic byte store: lock-free readers load the fingerprints as words.
     Store(fps_[slot], fp);
@@ -280,7 +289,7 @@ class Bucket {
     meta_.store(next, std::memory_order_release);
     // Fingerprint, bitmap and counter share the metadata cachelines: one
     // flush persists them all (Algorithm 2 comment).
-    pmem::Persist(this, kMetadataBytes);
+    if constexpr (F == Flush::kEach) pmem::Persist(this, kMetadataBytes);
     return true;
   }
 
@@ -292,12 +301,39 @@ class Bucket {
   }
 
   // Deletes the record in `slot`. Requires the exclusive lock.
+  template <Flush F = Flush::kEach>
   void DeleteSlot(int slot) {
+    DeleteSlots<F>(1u << slot);
+  }
+
+  // Deletes the records of every slot in `mask` with one metadata store
+  // and one flush (a split clears its moved slots per source bucket).
+  // Requires the exclusive lock.
+  template <Flush F = Flush::kEach>
+  void DeleteSlots(uint32_t mask) {
     const uint32_t m = meta_.load(std::memory_order_relaxed);
-    uint32_t next = m & ~(1u << slot) & ~(1u << (kNumSlots + slot));
-    next = (next & ~(0xFu << 28)) | ((Count(m) - 1) << 28);
+    const uint32_t gone = mask & AllocBits(m);
+    uint32_t next = m & ~gone & ~(gone << kNumSlots);
+    next = (next & ~(0xFu << 28)) |
+           ((Count(m) - static_cast<uint32_t>(__builtin_popcount(gone)))
+            << 28);
     meta_.store(next, std::memory_order_release);
-    pmem::Persist(this, kMetadataBytes);
+    if constexpr (F == Flush::kEach) pmem::Persist(this, kMetadataBytes);
+  }
+
+  // Writes back, without a fence, the lines that hold the metadata or an
+  // occupied slot. Every other line still holds what the allocator zeroed
+  // or what a record moved away left behind, and no reader looks at a slot
+  // whose allocation bit is clear.
+  void WriteBackOccupied() const {
+    const uint32_t alloc = AllocBits(meta());
+    const size_t bytes =
+        kMetadataBytes +
+        (alloc == 0 ? 0 : (32 - __builtin_clz(alloc)) * sizeof(Record));
+    const auto* base = reinterpret_cast<const char*>(this);
+    for (size_t off = 0; off < bytes; off += pmem::kCachelineSize) {
+      pmem::Clwb(base + off);
+    }
   }
 
   // Picks a displacement victim (§4.3): an occupied slot whose membership

@@ -9,8 +9,9 @@
 //   2. reserve + initialize the new segment (state NEW, depth+1) and commit
 //      the allocation by publishing it into the source's side-link
 //      (allocate-activate: at no crash point is the segment leaked);
-//   3. rehash: move matching records, deleting each from the source after
-//      it is persisted in the child;
+//   3. rehash (Segment::SplitInto): fill the child without flushes, persist
+//      it once, mark it FILLED, then clear the moved slots of each source
+//      bucket with one flush;
 //   4. update the source pattern and the directory entries (idempotent);
 //   5. commit: one mini-transaction atomically flips both segments'
 //      (depth, state) words to (depth+1, CLEAN).
@@ -19,7 +20,7 @@
 // one-byte global version. A segment whose version byte mismatches is
 // recovered on first access — locks cleared, duplicates removed, overflow
 // metadata rebuilt, and any in-flight split rolled forward (child reachable
-// via the side-link, state NEW) or rolled back.
+// via the side-link, state NEW or FILLED) or rolled back.
 
 #ifndef DASH_PM_DASH_DASH_EH_H_
 #define DASH_PM_DASH_DASH_EH_H_
@@ -264,7 +265,7 @@ class DashEH {
       Segment* seg = dir->entry(i);
       if (seg == nullptr || !pool_->Contains(seg)) return false;
       if (seg->local_depth() > gd) return false;
-      if (seg->state() > Segment::kMerging) return false;
+      if (seg->state() > Segment::kMaxState) return false;
       if (seg->num_buckets() == 0 ||
           (seg->num_buckets() & (seg->num_buckets() - 1)) != 0) {
         return false;
@@ -542,7 +543,7 @@ class DashEH {
         seg->Initialize(opts_.buckets_per_segment, opts_.stash_buckets,
                         dir->global_depth, /*pattern=*/i, Segment::kClean,
                         root_->global_version);
-        seg->PersistAll();
+        seg->PersistHeader();
         alloc_->Activate(
             r, reinterpret_cast<uint64_t*>(&dir->entries()[i]));
       }
@@ -620,7 +621,7 @@ class DashEH {
 
   void LazyRecover(Segment* seg) {
     Segment* target = seg;
-    if (seg->state() == Segment::kNew) {
+    if (seg->IsNew()) {
       // A NEW segment is recovered through its splitting parent, reachable
       // via the directory entry of the buddy pattern.
       Segment* parent = FindParentOf(seg);
@@ -671,13 +672,18 @@ class DashEH {
     seg->ResetAllLocks();
     if (seg->state() == Segment::kSplitting) {
       Segment* child = seg->side_link();
-      if (child != nullptr && child->state() == Segment::kNew) {
+      if (child != nullptr && child->IsNew()) {
         // Roll the split forward: the child is owned (side-link published).
+        // SplitInto refills a child that was not FILLED yet and otherwise
+        // drops the source's leftover copies of the moved records.
         child->ResetAllLocks();
         seg->template DedupAdjacent<KP>(opts_);
-        child->template DedupAdjacent<KP>(opts_);
         const uint32_t old_depth = child->local_depth() - 1;
-        RehashToChild(seg, child, old_depth, /*check_unique=*/true);
+        seg->template SplitInto<KP>(child, MovesToChild(old_depth), opts_,
+                                    alloc_, /*allow_stash_chain=*/false);
+        // Once the directory points at the FILLED child, inserts can land
+        // in it (and displace) before the commit.
+        child->template DedupAdjacent<KP>(opts_);
         FinishSplit(seg, child, old_depth);
         child->template RebuildOverflowMetadata<KP>(opts_);
         seg->template RebuildOverflowMetadata<KP>(opts_);
@@ -940,12 +946,13 @@ class DashEH {
     // The child inherits the source's right neighbor (§4.7).
     child->side_link_word()[0] =
         reinterpret_cast<uint64_t>(seg->side_link());
-    child->PersistAll();
+    child->PersistHeader();
     alloc_->Activate(r, seg->side_link_word());
     CRASH_POINT("eh_split_after_activate");
 
     // 3. Rehash into the child.
-    RehashToChild(seg, child, old_depth, /*check_unique=*/false);
+    seg->template SplitInto<KP>(child, MovesToChild(old_depth), opts_, alloc_,
+                                /*allow_stash_chain=*/false);
     CRASH_POINT("eh_split_after_rehash");
 
     // 4-5. Pattern + directory + atomic state commit.
@@ -973,41 +980,11 @@ class DashEH {
     tx.Commit();
   }
 
-  // Moves records whose (old_depth+1)-th MSB is 1 from `seg` to `child`.
-  void RehashToChild(Segment* seg, Segment* child, uint32_t old_depth,
-                     bool check_unique) {
+  // The records of a segment at `old_depth` that its split moves to the
+  // child: those whose (old_depth+1)-th hash MSB is 1.
+  static auto MovesToChild(uint32_t old_depth) {
     const uint32_t shift = 64 - (old_depth + 1);
-    seg->ForEachRecord([&](Bucket* bucket, int slot) {
-      const uint64_t stored = bucket->record(slot).key;
-      const uint64_t rh = KP::HashStored(stored);
-      if (((rh >> shift) & 1) == 0) return;  // stays in the source
-      const uint64_t value = bucket->LoadValue(slot);
-      const uint8_t fp = Segment::Fingerprint(rh);
-      const uint32_t y0 = Segment::BucketIndex(rh, child->num_buckets());
-      const uint32_t y1 = (y0 + 1) & (child->num_buckets() - 1);
-      Bucket* c0 = child->bucket(y0);
-      Bucket* c1 = opts_.use_probing_bucket ? child->bucket(y1) : nullptr;
-      bool already = false;
-      if (check_unique) {
-        already = c0->FindStoredKey<KP>(fp, stored, opts_) >= 0 ||
-                  (c1 != nullptr &&
-                   c1->FindStoredKey<KP>(fp, stored, opts_) >= 0);
-        if (!already) {
-          for (uint32_t i = 0; i < child->num_stash() && !already; ++i) {
-            already = child->stash_bucket(i)->FindStoredKey<KP>(
-                          fp, stored, opts_) >= 0;
-          }
-        }
-      }
-      if (!already) {
-        const OpStatus st = child->template InsertStoredLocked<KP>(
-            stored, value, fp, y0, c0, c1, opts_, alloc_,
-            /*allow_stash_chain=*/false);
-        assert(st == OpStatus::kOk && "child segment overflow during split");
-        (void)st;
-      }
-      bucket->DeleteSlot(slot);
-    });
+    return [shift](uint64_t h) { return ((h >> shift) & 1) != 0; };
   }
 
   // Points the upper half of the source's directory range at the child.

@@ -239,7 +239,7 @@ class DashLH {
             array[i].load(std::memory_order_acquire));
         if (seg == nullptr) continue;
         if (!pool_->Contains(seg)) return false;
-        if (seg->state() > Segment::kMerging) return false;
+        if (seg->state() > Segment::kMaxState) return false;
         if (seg->num_buckets() == 0 ||
             (seg->num_buckets() & (seg->num_buckets() - 1)) != 0) {
           return false;
@@ -328,7 +328,7 @@ class DashLH {
         plans[i] = Segment::StashPlan{};
         Segment* seg = segs[i];
         if (seg != nullptr && seg->version() == root_->global_version &&
-            seg->state() != Segment::kNew &&
+            !seg->IsNew() &&
             (SegBits(hashes[i]) & (Capacity(seg->local_depth()) - 1)) ==
                 seg->pattern()) {
           status = seg->template SearchPairOptimistic<KP>(
@@ -566,7 +566,7 @@ class DashLH {
     seg = static_cast<Segment*>(r.ptr);
     seg->Initialize(opts_.buckets_per_segment, opts_.stash_buckets, level,
                     /*pattern=*/g, Segment::kNew, root_->global_version);
-    seg->PersistAll();
+    seg->PersistHeader();
     alloc_->Activate(
         r, reinterpret_cast<uint64_t*>(&array[g - starts_[e]]));
     CRASH_POINT("lh_after_buddy_publish");
@@ -639,7 +639,7 @@ class DashLH {
         LazyRecover(seg);
         continue;
       }
-      if (seg->state() == Segment::kNew) {
+      if (seg->IsNew()) {
         // Pending split: help complete it, then retry (§5.3 / LHlf).
         HelpSplitOfBuddy(seg);
         continue;
@@ -665,7 +665,7 @@ class DashLH {
   }
 
   bool SegmentValid(Segment* seg, uint64_t h) const {
-    if (seg->state() == Segment::kNew) return false;
+    if (seg->IsNew()) return false;
     const uint64_t hseg = SegBits(h);
     const uint64_t mask = Capacity(seg->local_depth()) - 1;
     return (hseg & mask) == seg->pattern();
@@ -673,7 +673,7 @@ class DashLH {
 
   void LazyRecover(Segment* seg) {
     Segment* target = seg;
-    if (seg->state() == Segment::kNew) {
+    if (seg->IsNew()) {
       Segment* src = SourceOf(seg);
       if (src != nullptr) target = src;
     }
@@ -711,12 +711,15 @@ class DashLH {
     if (seg->state() == Segment::kSplitting) {
       // Roll the split forward (the buddy exists: it is created before the
       // SPLITTING mark).
+      // SplitInto refills a buddy that was not FILLED yet and otherwise
+      // drops the source's leftover copies of the moved records. No insert
+      // reaches a buddy before the commit, so it holds exactly the fill.
       Segment* buddy = SlotAt(seg->pattern() + Capacity(seg->local_depth()));
       assert(buddy != nullptr);
       buddy->ResetAllLocks();
       seg->template DedupAdjacent<KP>(opts_);
-      buddy->template DedupAdjacent<KP>(opts_);
-      RehashToBuddy(seg, buddy, seg->local_depth(), /*check_unique=*/true);
+      seg->template SplitInto<KP>(buddy, MovesToBuddy(seg), opts_, alloc_,
+                                  /*allow_stash_chain=*/true);
       CommitSplit(seg, buddy, seg->local_depth());
       buddy->template RebuildOverflowMetadata<KP>(opts_);
       seg->template RebuildOverflowMetadata<KP>(opts_);
@@ -740,7 +743,13 @@ class DashLH {
 
       Segment* src = SlotAt(next);
       if (src == nullptr) return;  // should not happen
-      if (src->state() == Segment::kNew) {
+      if (src->version() != root_->global_version) {
+        // Not recovered since the crash: its lock words may still read as
+        // held, so HelpSplit would spin on them forever.
+        LazyRecover(src);
+        continue;
+      }
+      if (src->IsNew()) {
         // The source is itself a buddy whose own split (previous round) is
         // still pending; complete that first.
         HelpSplitOfBuddy(src);
@@ -779,21 +788,21 @@ class DashLH {
 
   // Physically splits `src` into `buddy` (level +1). Idempotent: returns
   // immediately if the split already completed. Only the source's buckets
-  // are locked: the buddy is unreachable while in state NEW (every accessor
-  // helps first, and helpers serialize on the source's bucket locks), so
-  // the rehash can populate it without locking — exactly like Dash-EH's
+  // are locked: the buddy is unreachable while NEW (every accessor helps
+  // first, and helpers serialize on the source's bucket locks), so
+  // SplitInto can fill it without locking — exactly like Dash-EH's
   // not-yet-published child segment.
   void HelpSplit(Segment* src, Segment* buddy) {
     src->LockAllBuckets(opts_);
-    if (buddy->state() != Segment::kNew ||
-        buddy->local_depth() != src->local_depth() + 1) {
+    if (!buddy->IsNew() || buddy->local_depth() != src->local_depth() + 1) {
       src->UnlockAllBuckets(opts_);
       return;  // already done (or src itself advanced)
     }
     const uint32_t level = src->local_depth();
     src->SetDepthState(level, Segment::kSplitting);
     CRASH_POINT("lh_split_after_mark");
-    RehashToBuddy(src, buddy, level, /*check_unique=*/false);
+    src->template SplitInto<KP>(buddy, MovesToBuddy(src), opts_, alloc_,
+                                /*allow_stash_chain=*/true);
     CRASH_POINT("lh_split_after_rehash");
     CommitSplit(src, buddy, level);
     CRASH_POINT("lh_split_after_commit");
@@ -810,46 +819,15 @@ class DashLH {
     tx.Commit();
   }
 
-  // Moves records whose level+1 pattern gains the top bit from src to
-  // buddy. Buddy's buckets are locked by the caller (or invisible).
-  void RehashToBuddy(Segment* src, Segment* buddy, uint32_t level,
-                     bool check_unique) {
+  // The records of `src` that its split moves to the buddy: those whose
+  // level+1 pattern gains the top bit.
+  auto MovesToBuddy(const Segment* src) const {
+    const uint32_t level = src->local_depth();
     const uint64_t moved_pattern = src->pattern() + Capacity(level);
     const uint64_t mask = Capacity(level + 1) - 1;
-    src->ForEachRecord([&](Bucket* bucket, int slot) {
-      const uint64_t stored = bucket->record(slot).key;
-      const uint64_t rh = KP::HashStored(stored);
-      if ((SegBits(rh) & mask) != moved_pattern) return;
-      const uint64_t value = bucket->LoadValue(slot);
-      const uint8_t fp = Segment::Fingerprint(rh);
-      const uint32_t y0 = Segment::BucketIndex(rh, buddy->num_buckets());
-      const uint32_t y1 = (y0 + 1) & (buddy->num_buckets() - 1);
-      Bucket* c0 = buddy->bucket(y0);
-      Bucket* c1 = opts_.use_probing_bucket ? buddy->bucket(y1) : nullptr;
-      bool already = false;
-      if (check_unique) {
-        already = c0->FindStoredKey<KP>(fp, stored, opts_) >= 0 ||
-                  (c1 != nullptr &&
-                   c1->FindStoredKey<KP>(fp, stored, opts_) >= 0);
-        for (uint32_t i = 0; i < buddy->num_stash() && !already; ++i) {
-          already = buddy->stash_bucket(i)->FindStoredKey<KP>(fp, stored,
-                                                              opts_) >= 0;
-        }
-        for (StashChainNode* node = buddy->stash_chain();
-             node != nullptr && !already;
-             node = reinterpret_cast<StashChainNode*>(node->next)) {
-          already = node->bucket.FindStoredKey<KP>(fp, stored, opts_) >= 0;
-        }
-      }
-      if (!already) {
-        const OpStatus st = buddy->template InsertStoredLocked<KP>(
-            stored, value, fp, y0, c0, c1, opts_, alloc_,
-            /*allow_stash_chain=*/true);
-        assert(st == OpStatus::kOk && "buddy overflow during LH split");
-        (void)st;
-      }
-      bucket->DeleteSlot(slot);
-    });
+    return [moved_pattern, mask](uint64_t h) {
+      return (SegBits(h) & mask) == moved_pattern;
+    };
   }
 
   static constexpr size_t kRecoveryMutexes = 64;

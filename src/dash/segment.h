@@ -13,7 +13,9 @@
 #define DASH_PM_DASH_SEGMENT_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <vector>
 
 #include "dash/bucket.h"
 #include "dash/config.h"
@@ -57,6 +59,11 @@ class Segment {
   static constexpr uint32_t kNew = 2;
   // Right sibling of an in-flight merge (extension; see DashEH::TryMerge).
   static constexpr uint32_t kMerging = 3;
+  // A NEW split destination whose records are all in place and durable
+  // (SplitInto). It is still NEW to every reader and writer; recovery only
+  // drops the source's leftover copies instead of refilling it.
+  static constexpr uint32_t kFilled = 4;
+  static constexpr uint32_t kMaxState = kFilled;
 
   // ---- layout ----
 
@@ -97,6 +104,11 @@ class Segment {
   uint32_t state() const {
     return static_cast<uint32_t>(
         depth_state_.load(std::memory_order_acquire) & 0xFFFFFFFFu);
+  }
+  // True for a split destination that is not committed yet.
+  bool IsNew() const {
+    const uint32_t s = state();
+    return s == kNew || s == kFilled;
   }
   // Updates depth and state in one atomic persistent store (the split
   // commit point relies on this).
@@ -148,7 +160,9 @@ class Segment {
 
   // ---- construction ----
 
-  // Initializes a freshly allocated (zeroed) segment.
+  // Initializes the header of a freshly allocated segment. The allocator
+  // hands out zeroed memory and has already persisted it, so every bucket
+  // is empty and durable; only the header needs PersistHeader().
   void Initialize(uint32_t num_buckets, uint32_t num_stash, uint32_t depth,
                   uint64_t pattern, uint32_t state, uint8_t version) {
     num_buckets_ = num_buckets;
@@ -159,13 +173,9 @@ class Segment {
     version_.store(version, std::memory_order_relaxed);
     depth_state_.store((static_cast<uint64_t>(depth) << 32) | state,
                        std::memory_order_relaxed);
-    for (uint32_t i = 0; i < num_buckets + num_stash; ++i) bucket(i)->Clear();
   }
 
-  // Persists the entire segment (after construction).
-  void PersistAll() {
-    pmem::Persist(this, AllocSize(num_buckets_, num_stash_));
-  }
+  void PersistHeader() { pmem::Persist(this, sizeof(Segment)); }
 
   // Prefetches the metadata cachelines a subsequent probe of `hash` will
   // touch: the target bucket's 32-byte metadata block (lock, bitmap word,
@@ -229,8 +239,8 @@ class Segment {
   }
 
   // Insert body once the bucket pair is locked and the stored key exists.
-  // Also used by split rehash (which moves already-stored keys).
-  template <typename KP>
+  // Also used by merge and split (which move already-stored keys).
+  template <typename KP, Flush F = Flush::kEach>
   OpStatus InsertStoredLocked(uint64_t stored, uint64_t value, uint8_t fp,
                               uint32_t y0, Bucket* b0, Bucket* b1,
                               const DashOptions& opts,
@@ -254,23 +264,23 @@ class Segment {
       dest = !b0->IsFull() ? b0 : (!b1->IsFull() ? b1 : nullptr);
     }
     if (dest != nullptr) {
-      dest->Insert(stored, value, fp, /*member=*/dest == b1);
+      dest->template Insert<F>(stored, value, fp, /*member=*/dest == b1);
       return OpStatus::kOk;
     }
 
     // 2. Displacement (§4.3, Algorithm 2).
     if (opts.use_displacement && b1 != nullptr) {
-      dest = TryDisplace(y0, (y0 + 1) & mask, b0, b1, opts);
+      dest = TryDisplace<F>(y0, (y0 + 1) & mask, b0, b1, opts);
       if (dest != nullptr) {
-        dest->Insert(stored, value, fp, /*member=*/dest == b1);
+        dest->template Insert<F>(stored, value, fp, /*member=*/dest == b1);
         return OpStatus::kOk;
       }
     }
 
     // 3. Stash (§4.3).
     if (num_stash_ > 0 || allow_stash_chain) {
-      return StashInsert<KP>(stored, value, fp, b0, b1, opts, alloc,
-                             allow_stash_chain);
+      return StashInsert<KP, F>(stored, value, fp, b0, b1, opts, alloc,
+                                allow_stash_chain);
     }
     return OpStatus::kNeedSplit;
   }
@@ -522,25 +532,28 @@ class Segment {
 
   // ---- iteration (rehash, statistics, validation) ----
 
+  // Invokes fn(Bucket*) for every bucket: normal, stash, then chained
+  // stash buckets.
+  template <typename Fn>
+  void ForEachBucket(Fn fn) {
+    for (uint32_t i = 0; i < num_buckets_ + num_stash_; ++i) fn(bucket(i));
+    for (StashChainNode* node = stash_chain(); node != nullptr;
+         node = reinterpret_cast<StashChainNode*>(node->next)) {
+      fn(&node->bucket);
+    }
+  }
+
   // Invokes fn(Bucket*, slot) for every occupied slot, including stash and
   // chained stash buckets. Not concurrency-safe; callers hold all bucket
   // locks (SMO) or run single-threaded.
   template <typename Fn>
   void ForEachRecord(Fn fn) {
-    for (uint32_t i = 0; i < num_buckets_ + num_stash_; ++i) {
-      Bucket* b = bucket(i);
+    ForEachBucket([&fn](Bucket* b) {
       const uint32_t alloc_bits = Bucket::AllocBits(b->meta());
       for (uint32_t slot = 0; slot < Bucket::kNumSlots; ++slot) {
         if ((alloc_bits >> slot) & 1) fn(b, static_cast<int>(slot));
       }
-    }
-    for (StashChainNode* node = stash_chain(); node != nullptr;
-         node = reinterpret_cast<StashChainNode*>(node->next)) {
-      const uint32_t alloc_bits = Bucket::AllocBits(node->bucket.meta());
-      for (uint32_t slot = 0; slot < Bucket::kNumSlots; ++slot) {
-        if ((alloc_bits >> slot) & 1) fn(&node->bucket, static_cast<int>(slot));
-      }
-    }
+    });
   }
 
   uint64_t RecordCount() {
@@ -563,6 +576,57 @@ class Segment {
 
   // ---- SMO / recovery support (§4.7, §4.8) ----
 
+  // Moves every record whose hash satisfies `moves` from this segment
+  // (SPLITTING, every bucket locked) into `dst`, the split's NEW segment,
+  // which no other operation reads or writes. The one record mover of the
+  // Dash-EH and Dash-LH splits and of their recovery, in this order:
+  //   1. if `dst` is not FILLED yet, empty it (after a crash it may hold
+  //      any subset of an earlier fill's lines), then place each moving
+  //      record with the insert path's placement but no flush per record;
+  //   2. persist `dst` once, chained stash buckets included, and durably
+  //      mark it FILLED;
+  //   3. clear the moved slots of each source bucket with one metadata
+  //      store and one flush.
+  // The source is untouched until the FILLED mark is durable, so a crash
+  // before it is rolled forward by refilling, and one after it by redoing
+  // step 3. Both are what calling this again does.
+  template <typename KP, typename MovesFn>
+  void SplitInto(Segment* dst, MovesFn moves, const DashOptions& opts,
+                 pmem::PmAllocator* alloc, bool allow_stash_chain) {
+    struct MovedSlots {
+      Bucket* bucket;
+      uint32_t mask;
+    };
+    const bool fill = dst->state() != kFilled;
+    if (fill) dst->ForEachBucket([](Bucket* b) { b->Clear(); });
+    std::vector<MovedSlots> moved;
+    ForEachBucket([&](Bucket* b) {
+      const uint32_t alloc_bits = Bucket::AllocBits(b->meta());
+      uint32_t mask = 0;
+      for (uint32_t slot = 0; slot < Bucket::kNumSlots; ++slot) {
+        if (((alloc_bits >> slot) & 1) == 0) continue;
+        const uint64_t stored = b->record(static_cast<int>(slot)).key;
+        const uint64_t h = KP::HashStored(stored);
+        if (!moves(h)) continue;
+        mask |= 1u << slot;
+        if (fill) {
+          dst->PlaceMoved<KP>(stored, b->LoadValue(static_cast<int>(slot)), h,
+                              opts, alloc, allow_stash_chain);
+        }
+      }
+      if (mask != 0) moved.push_back({b, mask});
+    });
+    if (fill) {
+      CRASH_POINT("split_after_fill");
+      dst->ForEachBucket([](Bucket* b) { b->WriteBackOccupied(); });
+      pmem::Fence();
+      CRASH_POINT("split_after_child_persist");
+      dst->SetDepthState(dst->local_depth(), kFilled);
+      CRASH_POINT("split_after_mark_filled");
+    }
+    for (const MovedSlots& m : moved) m.bucket->DeleteSlots(m.mask);
+  }
+
   // Locks every bucket (normal + stash) — SMOs lock the whole segment.
   void LockAllBuckets(const DashOptions& opts) {
     for (uint32_t i = 0; i < num_buckets_ + num_stash_; ++i) {
@@ -577,13 +641,7 @@ class Segment {
 
   // Recovery step 1: clear all bucket locks (§4.8).
   void ResetAllLocks() {
-    for (uint32_t i = 0; i < num_buckets_ + num_stash_; ++i) {
-      bucket(i)->ResetLock();
-    }
-    for (StashChainNode* node = stash_chain(); node != nullptr;
-         node = reinterpret_cast<StashChainNode*>(node->next)) {
-      node->bucket.ResetLock();
-    }
+    ForEachBucket([](Bucket* b) { b->ResetLock(); });
     chain_lock_.Unlock();
   }
 
@@ -653,6 +711,23 @@ class Segment {
   }
 
  private:
+  // SplitInto's placement of one moving record: the insert path's
+  // balanced insert, displacement and stash, without flushes.
+  template <typename KP>
+  void PlaceMoved(uint64_t stored, uint64_t value, uint64_t hash,
+                  const DashOptions& opts, pmem::PmAllocator* alloc,
+                  bool allow_stash_chain) {
+    const uint32_t y0 = BucketIndex(hash, num_buckets_);
+    Bucket* b0 = bucket(y0);
+    Bucket* b1 =
+        opts.use_probing_bucket ? bucket((y0 + 1) & (num_buckets_ - 1)) : nullptr;
+    const OpStatus st = InsertStoredLocked<KP, Flush::kDeferred>(
+        stored, value, Fingerprint(hash), y0, b0, b1, opts, alloc,
+        allow_stash_chain);
+    assert(st == OpStatus::kOk && "split destination overflow");
+    (void)st;
+  }
+
   void LockPair(Bucket* b0, Bucket* b1, uint32_t y0, uint32_t y1,
                 const DashOptions& opts) {
     if (b1 == nullptr || b0 == b1) {
@@ -775,6 +850,7 @@ class Segment {
   // Displacement (Algorithm 2). Requires b0/b1 locked. Frees a slot in b0
   // or b1 by moving a record to its alternative bucket; returns the bucket
   // with the freed slot, or nullptr.
+  template <Flush F>
   Bucket* TryDisplace(uint32_t y0, uint32_t y1, Bucket* b0, Bucket* b1,
                       const DashOptions& opts) {
     const uint32_t mask = num_buckets_ - 1;
@@ -789,9 +865,11 @@ class Segment {
           if (!b2->IsFull()) {
             const Record rec = b1->record(victim);
             const uint8_t vfp = b1->fingerprint(victim);
-            b2->Insert(rec.key, rec.value, vfp, /*member=*/true);
-            CRASH_POINT("displace_after_insert");
-            b1->DeleteSlot(victim);
+            b2->template Insert<F>(rec.key, rec.value, vfp, /*member=*/true);
+            if constexpr (F == Flush::kEach) {
+              CRASH_POINT("displace_after_insert");
+            }
+            b1->template DeleteSlot<F>(victim);
             b2->lock().UnlockExclusive(opts.concurrency);
             return b1;
           }
@@ -810,9 +888,11 @@ class Segment {
           if (!bm->IsFull()) {
             const Record rec = b0->record(victim);
             const uint8_t vfp = b0->fingerprint(victim);
-            bm->Insert(rec.key, rec.value, vfp, /*member=*/false);
-            CRASH_POINT("displace_after_insert");
-            b0->DeleteSlot(victim);
+            bm->template Insert<F>(rec.key, rec.value, vfp, /*member=*/false);
+            if constexpr (F == Flush::kEach) {
+              CRASH_POINT("displace_after_insert");
+            }
+            b0->template DeleteSlot<F>(victim);
             bm->lock().UnlockExclusive(opts.concurrency);
             return b0;
           }
@@ -824,23 +904,24 @@ class Segment {
   }
 
   // Stash insertion (§4.3) + overflow metadata maintenance.
-  template <typename KP>
+  template <typename KP, Flush F>
   OpStatus StashInsert(uint64_t stored, uint64_t value, uint8_t fp,
                        Bucket* b0, Bucket* b1, const DashOptions& opts,
                        pmem::PmAllocator* alloc, bool allow_stash_chain) {
     for (uint32_t i = 0; i < num_stash_; ++i) {
       Bucket* s = stash_bucket(i);
       s->lock().LockExclusive(opts.concurrency, opts.lock_stats);
-      const bool inserted = s->Insert(stored, value, fp, /*member=*/false);
+      const bool inserted =
+          s->template Insert<F>(stored, value, fp, /*member=*/false);
       s->lock().UnlockExclusive(opts.concurrency);
       if (inserted) {
-        CRASH_POINT("stash_after_insert");
+        if constexpr (F == Flush::kEach) CRASH_POINT("stash_after_insert");
         SetOverflowMetadata(fp, i, b0, b1, opts);
         return OpStatus::kOk;
       }
     }
     if (allow_stash_chain) {
-      return ChainInsert<KP>(stored, value, fp, b0, alloc, opts);
+      return ChainInsert<KP, F>(stored, value, fp, b0, alloc, opts);
     }
     return OpStatus::kNeedSplit;
   }
@@ -856,8 +937,10 @@ class Segment {
 
   // Dash-LH: insert into (possibly extending) the stash chain. The caller
   // should trigger a segment split afterwards (§5.1: "a segment split is
-  // triggered whenever a stash bucket is allocated").
-  template <typename KP>
+  // triggered whenever a stash bucket is allocated"). A new node is durable
+  // and published before use even under Flush::kDeferred, so the allocator
+  // never loses it.
+  template <typename KP, Flush F>
   OpStatus ChainInsert(uint64_t stored, uint64_t value, uint8_t fp,
                        Bucket* b0, pmem::PmAllocator* alloc,
                        const DashOptions& opts) {
@@ -869,15 +952,16 @@ class Segment {
     if (node == nullptr) {
       pmem::PmAllocator::Reservation r = alloc->Reserve(sizeof(StashChainNode));
       if (!r.valid()) return OpStatus::kOutOfMemory;
+      // Reserve hands out a zeroed, persisted node: only the link needs a
+      // flush before the node is published.
       node = static_cast<StashChainNode*>(r.ptr);
       node->next = stash_chain_.load(std::memory_order_relaxed);
-      node->bucket.Clear();
-      pmem::Persist(node, sizeof(StashChainNode));
+      pmem::PersistObject(&node->next);
       alloc->Activate(r, stash_chain_word());
       CRASH_POINT("lh_chain_after_publish");
     }
     node->bucket.lock().LockExclusive(opts.concurrency, opts.lock_stats);
-    node->bucket.Insert(stored, value, fp, /*member=*/false);
+    node->bucket.template Insert<F>(stored, value, fp, /*member=*/false);
     node->bucket.lock().UnlockExclusive(opts.concurrency);
     // Chain positions are not encodable in overflow fingerprints; force
     // stash scans via the counter.

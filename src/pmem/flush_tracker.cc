@@ -123,15 +123,26 @@ bool TornWriteArm() {
   return true;
 }
 
-size_t TornWriteRevert() {
+size_t TornWriteRevert(double keep_probability, uint64_t seed) {
   internal::g_torn_write_tracking.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lock(g_mu);
+  // splitmix64: one draw per unflushed line, in address order.
+  uint64_t state = seed;
+  auto keep = [&] {
+    if (keep_probability <= 0.0) return false;
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    return static_cast<double>(z >> 11) * 0x1.0p-53 < keep_probability;
+  };
   size_t reverted = 0;
   for (PoolShadow& p : Pools()) {
     if (p.shadow == nullptr) continue;
     for (size_t off = 0; off < p.size; off += kCachelineSize) {
       if (std::memcmp(p.base + off, p.shadow.get() + off, kCachelineSize) !=
-          0) {
+              0 &&
+          !keep()) {
         std::memcpy(p.base + off, p.shadow.get() + off, kCachelineSize);
         ++reverted;
       }

@@ -22,6 +22,11 @@
 //     back over the mappings before the test reopens the pool: the
 //     recovery code now sees only what a real power failure would have
 //     left behind.
+//   * Reverting every unflushed line is one legal image of many: a write-
+//     back cache may evict a dirty line to PM at any moment (Yat, Lantz et
+//     al., USENIX ATC 2014). The eviction mode of TornWriteRevert keeps
+//     each unflushed line with probability p instead, drawn from a seeded
+//     generator, so a test can walk a reproducible set of those images.
 //
 // Tracking costs one relaxed atomic load per Clwb/Fence when disarmed.
 // The armed paths are test-only and single-writer by construction (crash
@@ -33,6 +38,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 namespace dash::pmem {
 
@@ -55,9 +61,12 @@ void TornWriteUnregisterPool(void* base);
 bool TornWriteArm();
 
 // Reverts every registered pool to its shadow image — undoing all stores
-// not committed by a completed Clwb+Fence — and stops tracking. Returns
-// the number of 64-byte lines that were reverted.
-size_t TornWriteRevert();
+// not committed by a completed Clwb+Fence — and stops tracking. With
+// `keep_probability` p > 0, each such line instead keeps its current
+// contents with probability p, as if the cache had evicted it just before
+// the failure; `seed` makes the choice reproducible. Returns the number of
+// 64-byte lines that were reverted.
+size_t TornWriteRevert(double keep_probability = 0.0, uint64_t seed = 0);
 
 // Stops tracking and drops the shadows without reverting.
 void TornWriteDisarm();

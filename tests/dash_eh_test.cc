@@ -174,6 +174,57 @@ TEST_F(DashEhTest, SplitForTestSplitsSegment) {
   EXPECT_EQ(table_->Search(42, &value), OpStatus::kOk);
 }
 
+// A split moves its records without a flush per record: it flushes each
+// line of the new segment at most twice (the allocator's zeroing and the
+// one persist of the filled segment), each source bucket once (its moved
+// slots cleared with one store), plus a few lines of state marks,
+// allocator bookkeeping, directory doubling and commit.
+TEST_F(DashEhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
+  // Keys whose top hash bit is 0 all land in the first of the two
+  // segments. Count how many fit before an insert has to split it.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < 2000; ++k) {
+    if ((IntKeyPolicy::Hash(k) >> 63) == 0) keys.push_back(k);
+  }
+  size_t fit = 0;
+  const uint64_t segments = table_->Stats().segments;
+  while (table_->Stats().segments == segments) {
+    ASSERT_LT(fit, keys.size());
+    ASSERT_EQ(table_->Insert(keys[fit], 1), OpStatus::kOk);
+    ++fit;
+  }
+  --fit;  // the last insert needed the split
+
+  // Fill a fresh table's segment to that point, then split it.
+  test::TempPoolFile file("dash_eh_budget");
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  DashEH<> table(pool.get(), &epochs, opts_);
+  uint64_t moving = 0;
+  for (size_t i = 0; i < fit; ++i) {
+    ASSERT_EQ(table.Insert(keys[i], 1), OpStatus::kOk);
+    moving += (IntKeyPolicy::Hash(keys[i]) >> 62) & 1;
+  }
+  ASSERT_GT(moving, 50u) << "the split must move records to be measured";
+  pmem::ResetPmStats();
+  ASSERT_TRUE(table.SplitForTest(IntKeyPolicy::Hash(keys[0])));
+  const uint64_t clwb = pmem::AggregatePmStats().clwb;
+  ASSERT_EQ(table.Stats().segments, 3u);
+  EXPECT_EQ(table.Size(), fit);
+
+  const uint64_t segment_lines =
+      Segment::AllocSize(opts_.buckets_per_segment, opts_.stash_buckets) /
+      pmem::kCachelineSize;
+  const uint64_t source_buckets =
+      opts_.buckets_per_segment + opts_.stash_buckets;
+  constexpr uint64_t kFixedLines = 32;
+  EXPECT_LE(clwb, 2 * segment_lines + source_buckets + kFixedLines)
+      << moving << " records moved";
+  table.CloseClean();
+  pool->CloseClean();
+}
+
 TEST_F(DashEhTest, SplitPreservesAllRecords) {
   // Fill one segment's worth, split repeatedly, verify no record is lost.
   std::set<uint64_t> keys;

@@ -4,9 +4,11 @@
 #include "dash/dash_lh.h"
 
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "pmem/flush_tracker.h"
 #include "test_util.h"
 
 namespace dash {
@@ -80,6 +82,88 @@ TEST_F(DashLhTest, ManualExpansionPreservesRecords) {
     ASSERT_EQ(table_->Search(k, &value), OpStatus::kOk) << "key " << k;
   }
   EXPECT_EQ(table_->Size(), keys.size());
+}
+
+// The LH split moves its records without a flush per record: each line
+// of the new buddy is flushed at most twice (the allocator's zeroing and
+// the one persist of the filled buddy), each source bucket once, plus a
+// few lines of state marks, allocator bookkeeping, the buddy's array and
+// the commit.
+TEST_F(DashLhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
+  // With 4 base segments, keys whose segment bits end in 00 all land in
+  // segment 0, the first to split. Count how many fit before an insert
+  // overflows into a chained stash bucket and triggers the split.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < 2000; ++k) {
+    if (((IntKeyPolicy::Hash(k) >> 32) & 3) == 0) keys.push_back(k);
+  }
+  size_t fit = 0;
+  while (table_->next_pointer() == 0 && table_->rounds() == 0) {
+    ASSERT_LT(fit, keys.size());
+    ASSERT_EQ(table_->Insert(keys[fit], 1), OpStatus::kOk);
+    ++fit;
+  }
+  --fit;  // the last insert triggered the split
+
+  // Fill a fresh table's segment 0 to that point, then split it.
+  test::TempPoolFile file("dash_lh_budget");
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  DashLH<> table(pool.get(), &epochs, opts_);
+  uint64_t moving = 0;
+  for (size_t i = 0; i < fit; ++i) {
+    ASSERT_EQ(table.Insert(keys[i], 1), OpStatus::kOk);
+    moving += (IntKeyPolicy::Hash(keys[i]) >> 34) & 1;
+  }
+  ASSERT_EQ(table.next_pointer(), 0u);
+  ASSERT_GT(moving, 50u) << "the split must move records to be measured";
+  pmem::ResetPmStats();
+  table.ExpandForTest();
+  const uint64_t clwb = pmem::AggregatePmStats().clwb;
+  ASSERT_EQ(table.next_pointer(), 1u);
+  EXPECT_EQ(table.Size(), fit);
+
+  const uint64_t segment_lines =
+      Segment::AllocSize(opts_.buckets_per_segment, opts_.stash_buckets) /
+      pmem::kCachelineSize;
+  const uint64_t source_buckets =
+      opts_.buckets_per_segment + opts_.stash_buckets;
+  constexpr uint64_t kFixedLines = 32;
+  EXPECT_LE(clwb, 2 * segment_lines + source_buckets + kFixedLines)
+      << moving << " records moved";
+  table.CloseClean();
+  pool->CloseClean();
+}
+
+// After a crash, a segment no operation has touched yet still carries the
+// lock words its last persisted metadata lines held. An expansion must
+// recover the segment at Next before it locks it.
+TEST_F(DashLhTest, ExpansionRecoversAnUntouchedSegmentAfterCrash) {
+  ASSERT_TRUE(pmem::TornWriteArm());
+  for (uint64_t k = 1; k <= 3000; ++k) {
+    ASSERT_EQ(table_->Insert(k, k), OpStatus::kOk);
+  }
+  pmem::TornWriteRevert();
+  epochs_.DiscardAll();
+  table_.reset();
+  pool_->CloseDirty();
+  pool_.reset();
+  pool_ = pmem::PmPool::Open(file_->path());
+  ASSERT_NE(pool_, nullptr);
+  table_ = std::make_unique<DashLH<>>(pool_.get(), &epochs_, opts_);
+
+  // Without the recovery the expansion spins forever; end the test
+  // binary instead.
+  alarm(60);
+  table_->ExpandForTest();
+  alarm(0);
+  uint64_t value = 0;
+  for (uint64_t k = 1; k <= 3000; ++k) {
+    ASSERT_EQ(table_->Search(k, &value), OpStatus::kOk) << "key " << k;
+    ASSERT_EQ(value, k);
+  }
+  EXPECT_EQ(table_->Size(), 3000u);
 }
 
 TEST_F(DashLhTest, FullRoundOfExpansions) {

@@ -1,0 +1,198 @@
+// Split crash sweep under eviction subsets, for Dash-EH and Dash-LH.
+//
+// A write-back cache may evict a dirty line to PM at any moment, so a power
+// failure leaves the last flushed-and-fenced contents of every line plus an
+// arbitrary subset of the lines written since. Reverting every unflushed
+// line (crash_sweep_test) is only one of those images: a split destination
+// filled without flushes looks empty there, whatever its recovery does.
+//
+// For every split crash point a deterministic insert workload reaches
+// (Dash-LH's buddy creation and expansion points included), crash at
+// several hits, keep each unflushed line with probability 0.5
+// (three seeds), reopen, and check:
+//   * the structure verifies;
+//   * every committed key is present with its value, the in-flight key is
+//     present with its value or absent;
+//   * Stats().records equals that count exactly, so the roll-forward
+//     neither duplicated nor resurrected a record;
+//   * after updating and then deleting every present key, none is found
+//     and the table is empty: no stale copy comes back.
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "dash/dash_eh.h"
+#include "dash/dash_lh.h"
+#include "epoch/epoch_manager.h"
+#include "pmem/crash_point.h"
+#include "pmem/flush_tracker.h"
+#include "pmem/pool.h"
+#include "test_util.h"
+
+namespace dash {
+namespace {
+
+// Small segments so a few thousand inserts split many times; the same
+// options for the trace and every crash run.
+DashOptions SmallTableOptions() {
+  DashOptions o;
+  o.buckets_per_segment = 16;
+  o.stash_buckets = 2;
+  o.initial_depth = 1;
+  o.lh_base_segments = 4;
+  o.lh_stride = 2;
+  return o;
+}
+
+constexpr uint64_t kWorkloadKeys = 20000;
+constexpr size_t kPoolSize = 16ull << 20;
+constexpr double kKeepProbability = 0.5;
+constexpr uint64_t kSeeds[] = {1, 2, 3};
+// Crash at these hits of each point; the workload reaches each point well
+// over 47 times.
+constexpr uint64_t kSkips[] = {0, 1, 3, 7, 15, 31, 47};
+
+uint64_t ValueOf(uint64_t key) { return key * 31 + 7; }
+
+struct InjectionCleanup {
+  ~InjectionCleanup() {
+    pmem::CrashPointDisarm();
+    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
+  }
+};
+
+template <typename Table>
+std::vector<std::string> DiscoverSplitPoints() {
+  test::TempPoolFile file("evict_trace");
+  auto pool = test::CreatePool(file, kPoolSize);
+  EXPECT_NE(pool, nullptr);
+  if (pool == nullptr) return {};
+  epoch::EpochManager epochs;
+  Table table(pool.get(), &epochs, SmallTableOptions());
+  pmem::CrashPointTraceStart();
+  for (uint64_t k = 1; k <= kWorkloadKeys; ++k) {
+    EXPECT_EQ(table.Insert(k, ValueOf(k)), OpStatus::kOk) << "key " << k;
+  }
+  // The split's own points, plus Dash-LH's buddy creation and Next advance
+  // that precede its split.
+  std::vector<std::string> split_points;
+  for (const std::string& point : pmem::CrashPointTraceStop()) {
+    for (const char* part : {"split", "expand", "buddy"}) {
+      if (point.find(part) != std::string::npos) {
+        split_points.push_back(point);
+        break;
+      }
+    }
+  }
+  table.CloseClean();
+  pool->CloseClean();
+  return split_points;
+}
+
+template <typename Table>
+void RunEvictionCase(const std::string& point, uint64_t skip, uint64_t seed) {
+  InjectionCleanup cleanup;
+  test::TempPoolFile file("evict");
+  auto pool = test::CreatePool(file, kPoolSize);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  auto table =
+      std::make_unique<Table>(pool.get(), &epochs, SmallTableOptions());
+
+  ASSERT_TRUE(pmem::TornWriteArm());
+  ASSERT_TRUE(pmem::CrashPointArm(point, skip));
+  uint64_t crashed_at = 0;
+  for (uint64_t k = 1; k <= kWorkloadKeys; ++k) {
+    try {
+      ASSERT_EQ(table->Insert(k, ValueOf(k)), OpStatus::kOk) << "key " << k;
+    } catch (const pmem::CrashInjected&) {
+      crashed_at = k;
+      break;
+    }
+  }
+  pmem::CrashPointDisarm();
+  ASSERT_NE(crashed_at, 0u) << "hit " << skip << " never reached";
+
+  pmem::TornWriteRevert(kKeepProbability, seed);
+  epochs.DiscardAll();
+  table.reset();
+  pool->CloseDirty();
+  pool.reset();
+
+  pool = pmem::PmPool::Open(file.path());
+  ASSERT_NE(pool, nullptr);
+  ASSERT_TRUE(pool->recovered_from_crash());
+  epoch::EpochManager epochs2;
+  table = std::make_unique<Table>(pool.get(), &epochs2, SmallTableOptions());
+  ASSERT_TRUE(table->VerifyStructure());
+
+  uint64_t value = 0;
+  for (uint64_t k = 1; k < crashed_at; ++k) {
+    ASSERT_EQ(table->Search(k, &value), OpStatus::kOk)
+        << "committed key " << k << " lost";
+    ASSERT_EQ(value, ValueOf(k)) << "key " << k << " corrupt";
+  }
+  const OpStatus in_flight = table->Search(crashed_at, &value);
+  ASSERT_TRUE(in_flight == OpStatus::kOk || in_flight == OpStatus::kNotFound);
+  if (in_flight == OpStatus::kOk) {
+    ASSERT_EQ(value, ValueOf(crashed_at));
+  }
+  const uint64_t present = in_flight == OpStatus::kOk ? crashed_at
+                                                      : crashed_at - 1;
+  ASSERT_EQ(table->Stats().records, present)
+      << "records other than the committed keys survived";
+
+  for (uint64_t k = 1; k <= present; ++k) {
+    ASSERT_EQ(table->Update(k, ValueOf(k) + 1), OpStatus::kOk) << "key " << k;
+  }
+  for (uint64_t k = 1; k <= present; ++k) {
+    ASSERT_EQ(table->Search(k, &value), OpStatus::kOk);
+    ASSERT_EQ(value, ValueOf(k) + 1) << "stale copy of key " << k;
+    ASSERT_EQ(table->Delete(k), OpStatus::kOk) << "key " << k;
+  }
+  for (uint64_t k = 1; k <= present; ++k) {
+    ASSERT_EQ(table->Search(k, &value), OpStatus::kNotFound)
+        << "deleted key " << k << " came back";
+  }
+  ASSERT_EQ(table->Stats().records, 0u);
+  table->CloseClean();
+  pool->CloseClean();
+}
+
+template <typename Table>
+void SweepSplitPoints(const char* kind) {
+  const std::vector<std::string> points = DiscoverSplitPoints<Table>();
+  ASSERT_FALSE(points.empty()) << "no split crash points traced for " << kind;
+  for (const char* required :
+       {"split_after_fill", "split_after_child_persist",
+        "split_after_mark_filled"}) {
+    EXPECT_NE(std::find(points.begin(), points.end(), required), points.end())
+        << kind << " never reached " << required;
+  }
+  for (const std::string& point : points) {
+    for (uint64_t skip : kSkips) {
+      for (uint64_t seed : kSeeds) {
+        SCOPED_TRACE(std::string(kind) + " @ " + point + " hit " +
+                     std::to_string(skip) + " seed " + std::to_string(seed));
+        RunEvictionCase<Table>(point, skip, seed);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SplitEvictionTest, DashEhSplitPointsRecoverExactly) {
+  SweepSplitPoints<DashEH<>>("dash-eh");
+}
+
+TEST(SplitEvictionTest, DashLhSplitPointsRecoverExactly) {
+  SweepSplitPoints<DashLH<>>("dash-lh");
+}
+
+}  // namespace
+}  // namespace dash
