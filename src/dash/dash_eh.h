@@ -881,7 +881,7 @@ class DashEH {
         return false;
       }
     }
-    auto r = alloc_->Reserve(EhDirectory::AllocSize(gd - 1));
+    auto r = alloc_->ReserveUninitialized(EhDirectory::AllocSize(gd - 1));
     if (!r.valid()) {
       dir_lock_.Unlock();
       return false;
@@ -931,9 +931,10 @@ class DashEH {
     seg->SetDepthState(old_depth, Segment::kSplitting);
     CRASH_POINT("eh_split_after_mark");
 
-    // 2. Allocate + publish the child via the side-link.
-    auto r = alloc_->Reserve(Segment::AllocSize(seg->num_buckets(),
-                                                seg->num_stash()));
+    // 2. Allocate + publish the child via the side-link. The block is not
+    // zeroed: SplitInto clears every bucket before it fills them.
+    auto r = alloc_->ReserveUninitialized(
+        Segment::AllocSize(seg->num_buckets(), seg->num_stash()));
     if (!r.valid()) {
       seg->SetDepthState(old_depth, Segment::kClean);
       seg->UnlockAllBuckets(opts_);
@@ -1016,7 +1017,8 @@ class DashEH {
     dir_lock_.Lock();
     EhDirectory* old_dir = CurrentDir();
     const uint64_t gd = old_dir->global_depth;
-    auto r = alloc_->Reserve(EhDirectory::AllocSize(gd + 1));
+    // Every entry is written and persisted below, before the commit.
+    auto r = alloc_->ReserveUninitialized(EhDirectory::AllocSize(gd + 1));
     if (!r.valid()) {
       dir_lock_.Unlock();
       return false;

@@ -543,7 +543,10 @@ class DashLH {
 
   // Ensures the directory array and the segment object for slot `g` exist.
   // `level`/`pattern=g` are used when the segment must be created (as a
-  // split buddy, state NEW). Serialized by dir_lock_ (rare path).
+  // split buddy, state NEW). Serialized by dir_lock_ (rare path). The
+  // level-0 slots become CLEAN straight from CreateNew, so their blocks
+  // are zeroed; every other slot is a split buddy, reserved without
+  // zeroing because SplitInto clears its buckets before filling them.
   Segment* EnsureSlot(uint64_t g, uint32_t level) {
     Segment* seg = SlotAt(g);
     if (seg != nullptr) return seg;
@@ -560,8 +563,10 @@ class DashLH {
     seg = reinterpret_cast<Segment*>(
         array[g - starts_[e]].load(std::memory_order_acquire));
     if (seg != nullptr) return seg;
-    auto r = alloc_->Reserve(
-        Segment::AllocSize(opts_.buckets_per_segment, opts_.stash_buckets));
+    const size_t bytes =
+        Segment::AllocSize(opts_.buckets_per_segment, opts_.stash_buckets);
+    auto r = g < root_->base_segments ? alloc_->Reserve(bytes)
+                                      : alloc_->ReserveUninitialized(bytes);
     if (!r.valid()) return nullptr;
     seg = static_cast<Segment*>(r.ptr);
     seg->Initialize(opts_.buckets_per_segment, opts_.stash_buckets, level,
@@ -685,8 +690,12 @@ class DashLH {
       std::lock_guard<std::mutex> lock2(recovery_mutexes_[MutexIndex(seg)]);
       if (seg->version() != root_->global_version) {
         seg->ResetAllLocks();
-        seg->template DedupAdjacent<KP>(opts_);
-        seg->template RebuildOverflowMetadata<KP>(opts_);
+        // An unfilled buddy holds no record yet, only what its block held
+        // before SplitInto clears it.
+        if (seg->state() != Segment::kNew) {
+          seg->template DedupAdjacent<KP>(opts_);
+          seg->template RebuildOverflowMetadata<KP>(opts_);
+        }
         seg->SetVersion(root_->global_version);
       }
     }

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "dash/bucket.h"
@@ -160,9 +161,12 @@ class Segment {
 
   // ---- construction ----
 
-  // Initializes the header of a freshly allocated segment. The allocator
-  // hands out zeroed memory and has already persisted it, so every bucket
-  // is empty and durable; only the header needs PersistHeader().
+  // Sets every byte of the header of a freshly allocated segment; it must
+  // then be made durable with PersistHeader(). The buckets are either
+  // zeroed and persisted by the allocator (a table's initial segments) or,
+  // for a split destination reserved without zeroing, empty only once
+  // SplitInto has cleared them: until it has, such a NEW segment may hold
+  // anything a recycled block held.
   void Initialize(uint32_t num_buckets, uint32_t num_stash, uint32_t depth,
                   uint64_t pattern, uint32_t state, uint8_t version) {
     num_buckets_ = num_buckets;
@@ -173,6 +177,9 @@ class Segment {
     version_.store(version, std::memory_order_relaxed);
     depth_state_.store((static_cast<uint64_t>(depth) << 32) | state,
                        std::memory_order_relaxed);
+    chain_lock_.Unlock();  // a recycled block may have left it set
+    std::memset(pad0_, 0, sizeof(pad0_));
+    std::memset(pad1_, 0, sizeof(pad1_));
   }
 
   void PersistHeader() { pmem::Persist(this, sizeof(Segment)); }
@@ -556,7 +563,11 @@ class Segment {
     });
   }
 
+  // A NEW destination that is not FILLED yet counts none: no record is
+  // its own before the split's fill, and until SplitInto clears it, its
+  // buckets may hold a recycled block's stale records.
   uint64_t RecordCount() {
+    if (state() == kNew) return 0;
     uint64_t n = 0;
     ForEachRecord([&n](Bucket*, int) { ++n; });
     return n;

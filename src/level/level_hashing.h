@@ -123,8 +123,9 @@ struct LevelStats {
   uint64_t resizes = 0;
   double load_factor = 0.0;
   // Read-path concurrency telemetry (cumulative since table open): see
-  // util::OptimisticLockStats. write_locks counts exclusive acquisitions
-  // (per-op stripe LockAll, movement-path TryLock wins, resizes).
+  // util::ShardedOptimisticLockStats. write_locks counts exclusive
+  // acquisitions (per-op stripe LockAll, movement-path TryLock wins,
+  // resizes).
   uint64_t opt_retries = 0;
   uint64_t version_conflicts = 0;
   uint64_t write_locks = 0;

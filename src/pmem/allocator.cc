@@ -77,6 +77,16 @@ void* PmAllocator::PopOrBump(size_t rounded, uint32_t slot_idx) {
 }
 
 PmAllocator::Reservation PmAllocator::Reserve(size_t size) {
+  const Reservation r = ReserveUninitialized(size);
+  if (r.valid()) {
+    const size_t rounded = RoundUp64(size == 0 ? 1 : size);
+    std::memset(r.ptr, 0, rounded);
+    Persist(r.ptr, rounded);
+  }
+  return r;
+}
+
+PmAllocator::Reservation PmAllocator::ReserveUninitialized(size_t size) {
   const size_t rounded = RoundUp64(size == 0 ? 1 : size);
   const uint32_t slot_idx = util::ThreadId();
   assert(meta_->slots[slot_idx].block == 0 &&
@@ -88,9 +98,6 @@ PmAllocator::Reservation PmAllocator::Reserve(size_t size) {
     user = PopOrBump(rounded, slot_idx);
   }
   if (user == nullptr) return Reservation{};
-
-  std::memset(user, 0, rounded);
-  Persist(user, rounded);
   return Reservation{user, slot_idx};
 }
 

@@ -83,6 +83,15 @@ class PmAllocator {
   // persistently. Returns an invalid reservation on out-of-memory.
   Reservation Reserve(size_t size);
 
+  // Reserve without zeroing or persisting the block: it holds whatever
+  // its last owner left there (a recycled block may hold a retired
+  // segment's records). For callers that write, and persist before they
+  // publish, every byte they will later read: split destinations, which
+  // Segment::SplitInto clears and writes back before marking them FILLED,
+  // and directory images, written in full before their commit. Saves the
+  // block's memset and one flush per line.
+  Reservation ReserveUninitialized(size_t size);
+
   // Publishes `r.ptr` into `*dest` (which must live in the pool) with an
   // atomic persistent store, then clears the reservation slot. After this,
   // the block is owned by the application.

@@ -35,8 +35,7 @@ inline void Clwb(const void* addr) {
   if (internal::g_torn_write_tracking.load(std::memory_order_relaxed)) {
     internal::TornTrackClwb(addr);
   }
-  auto& stats = GetThreadPmStats();
-  stats.clwb.fetch_add(1, std::memory_order_relaxed);
+  util::SingleWriterAdd(GetThreadPmStats().clwb);
   const uint32_t lat =
       GetEmulationConfig().flush_latency_ns.load(std::memory_order_relaxed);
   if (lat != 0) SpinNanos(lat);
@@ -50,7 +49,7 @@ inline void Fence() {
   if (internal::g_torn_write_tracking.load(std::memory_order_relaxed)) {
     internal::TornTrackFence();
   }
-  GetThreadPmStats().fence.fetch_add(1, std::memory_order_relaxed);
+  util::SingleWriterAdd(GetThreadPmStats().fence);
 }
 
 // Flushes every cacheline in [addr, addr+len) and fences.
@@ -75,7 +74,7 @@ inline void PersistObject(const T* obj) {
 // Injects read latency when enabled.
 inline void ReadProbe(const void* addr, size_t lines = 1) {
   (void)addr;
-  GetThreadPmStats().read_probes.fetch_add(lines, std::memory_order_relaxed);
+  util::SingleWriterAdd(GetThreadPmStats().read_probes, lines);
   const uint32_t lat =
       GetEmulationConfig().read_latency_ns.load(std::memory_order_relaxed);
   if (lat != 0) SpinNanos(lat * static_cast<uint32_t>(lines));
@@ -90,7 +89,7 @@ inline void ReadProbe(const void* addr, size_t lines = 1) {
 // reset on open by every table).
 inline void WriteHint(const void* addr) {
   (void)addr;
-  GetThreadPmStats().nt_stores.fetch_add(1, std::memory_order_relaxed);
+  util::SingleWriterAdd(GetThreadPmStats().nt_stores);
   const uint32_t lat =
       GetEmulationConfig().flush_latency_ns.load(std::memory_order_relaxed);
   if (lat != 0) SpinNanos(lat);

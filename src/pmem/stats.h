@@ -18,6 +18,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "util/lock.h"
+
 namespace dash::pmem {
 
 // Aggregated PM access counters.
@@ -47,7 +49,10 @@ struct PmEmulationConfig {
 // (DASH_PM_FLUSH_NS, DASH_PM_READ_NS) on first use.
 PmEmulationConfig& GetEmulationConfig();
 
-// Per-thread counter block. Obtained once per thread; cheap to update.
+// Per-thread counter block. Obtained once per thread. Single-writer: only
+// the owning thread bumps it (util::SingleWriterAdd, a relaxed load and
+// store with no locked instruction), while AggregatePmStats may read it
+// from any thread at any time.
 struct ThreadPmStats {
   std::atomic<uint64_t> clwb{0};
   std::atomic<uint64_t> fence{0};
@@ -61,7 +66,9 @@ ThreadPmStats& GetThreadPmStats();
 // Sums counters across all threads that ever touched PM.
 PmStats AggregatePmStats();
 
-// Resets all thread counters to zero (benchmark phase boundaries).
+// Resets all thread counters to zero (benchmark phase boundaries). For
+// quiescent points only: a reset racing a thread's bump can be undone by
+// that bump's store, so no other thread may touch PM meanwhile.
 void ResetPmStats();
 
 // Busy-waits approximately `ns` nanoseconds (calibrated on first use).

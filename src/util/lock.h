@@ -200,72 +200,44 @@ class VersionLock {
 
 static_assert(sizeof(VersionLock) == 4, "VersionLock must stay 4 bytes");
 
+// Adds `n` to a counter that only the calling thread ever writes: a
+// per-thread block (pmem::ThreadPmStats) or the caller's shard of the
+// sharded telemetry below. With one writer, a relaxed load and store is
+// exact and costs no `lock`-prefixed read-modify-write, which drains the
+// store buffer on every bump of the per-op path. Readers (aggregation at
+// Stats() time) load each word relaxed and see some recent value. A store
+// by any other thread — a reset — can be undone by a racing bump, so
+// resets belong at quiescent points only.
+inline void SingleWriterAdd(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
+// Per-thread sharded lock telemetry, owned by the tables (DRAM). Each
+// thread bumps only its own cacheline-padded shard (indexed by the dense
+// util::ThreadId, which no two live threads share), so every shard is
+// single-writer (SingleWriterAdd) and no line bounces between writers;
+// Stats()-time readers sum the shards into racy snapshots. Cost: 16 KB
+// per instance (kMaxThreadId x 64 B) — noise next to a table's buckets.
+
 // Read-path concurrency telemetry for tables with optimistic (versioned)
 // search paths. The counters make "searches no longer write the lock word"
 // observable: in a search-only phase `write_locks` stays zero while
 // `version_conflicts` / `opt_retries` record how often readers had to
-// retry against writers. Increments are relaxed; reads are snapshots.
-struct OptimisticLockStats {
-  std::atomic<uint64_t> opt_retries{0};        // probe restarts (failed Verify)
-  std::atomic<uint64_t> version_conflicts{0};  // snapshots that saw a writer
-  std::atomic<uint64_t> write_locks{0};        // exclusive lock acquisitions
-
-  void CountConflict() {
-    version_conflicts.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountRetry() { opt_retries.fetch_add(1, std::memory_order_relaxed); }
-  void CountWriteLock() {
-    write_locks.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-// Write-path telemetry for Dash's per-bucket locks (BucketLock in
-// dash/bucket.h). The lock words themselves are PM-resident and must stay
-// 4 bytes, so the counters live in the owning table (DRAM) and reach the
-// lock methods through DashOptions::lock_stats. `acquisitions` counts
-// successful exclusive acquisitions (one per locked bucket, so a
-// displacing insert that locks two buckets counts twice); a plain counter
-// of how much bucket-level locking the write path performs.
-// `contended_spins` counts backoff pauses spent waiting for a holder —
-// zero under no contention, and the growth rate under load is the
-// observable form of bucket-lock contention. Increments are relaxed.
-struct BucketLockStats {
-  std::atomic<uint64_t> acquisitions{0};
-  std::atomic<uint64_t> contended_spins{0};
-
-  void CountAcquisition() {
-    acquisitions.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountSpin() {
-    contended_spins.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-// Per-thread sharded variants of the telemetry above. The shared-atomic
-// versions bounce one cacheline across every writer thread — measurable
-// on multi-thread write benches where each op counts a lock acquisition.
-// Here each thread increments its own cacheline-padded shard (indexed by
-// the dense util::ThreadId) and Stats()-time readers sum the shards.
-// Totals are racy snapshots, same contract as before. Cost: 16 KB per
-// instance (kMaxThreadId x 64 B) — noise next to a table's buckets.
+// retry against writers.
 struct ShardedOptimisticLockStats {
   struct alignas(64) Shard {
-    std::atomic<uint64_t> opt_retries{0};
-    std::atomic<uint64_t> version_conflicts{0};
-    std::atomic<uint64_t> write_locks{0};
+    std::atomic<uint64_t> opt_retries{0};  // probe restarts (failed Verify)
+    std::atomic<uint64_t> version_conflicts{0};  // snapshots saw a writer
+    std::atomic<uint64_t> write_locks{0};  // exclusive lock acquisitions
   };
   Shard shards[kMaxThreadId];
 
   void CountConflict() {
-    shards[ThreadId()].version_conflicts.fetch_add(1,
-                                                   std::memory_order_relaxed);
+    SingleWriterAdd(shards[ThreadId()].version_conflicts);
   }
-  void CountRetry() {
-    shards[ThreadId()].opt_retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountWriteLock() {
-    shards[ThreadId()].write_locks.fetch_add(1, std::memory_order_relaxed);
-  }
+  void CountRetry() { SingleWriterAdd(shards[ThreadId()].opt_retries); }
+  void CountWriteLock() { SingleWriterAdd(shards[ThreadId()].write_locks); }
 
   uint64_t TotalRetries() const {
     uint64_t sum = 0;
@@ -290,6 +262,16 @@ struct ShardedOptimisticLockStats {
   }
 };
 
+// Write-path telemetry for Dash's per-bucket locks (BucketLock in
+// dash/bucket.h). The lock words themselves are PM-resident and must stay
+// 4 bytes, so the counters live in the owning table (DRAM) and reach the
+// lock methods through DashOptions::lock_stats. `acquisitions` counts
+// successful exclusive acquisitions (one per locked bucket, so a
+// displacing insert that locks two buckets counts twice); a plain counter
+// of how much bucket-level locking the write path performs.
+// `contended_spins` counts backoff pauses spent waiting for a holder —
+// zero under no contention, and the growth rate under load is the
+// observable form of bucket-lock contention.
 struct ShardedBucketLockStats {
   struct alignas(64) Shard {
     std::atomic<uint64_t> acquisitions{0};
@@ -297,13 +279,8 @@ struct ShardedBucketLockStats {
   };
   Shard shards[kMaxThreadId];
 
-  void CountAcquisition() {
-    shards[ThreadId()].acquisitions.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountSpin() {
-    shards[ThreadId()].contended_spins.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
+  void CountAcquisition() { SingleWriterAdd(shards[ThreadId()].acquisitions); }
+  void CountSpin() { SingleWriterAdd(shards[ThreadId()].contended_spins); }
 
   uint64_t TotalAcquisitions() const {
     uint64_t sum = 0;

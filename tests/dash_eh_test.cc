@@ -175,10 +175,10 @@ TEST_F(DashEhTest, SplitForTestSplitsSegment) {
 }
 
 // A split moves its records without a flush per record: it flushes each
-// line of the new segment at most twice (the allocator's zeroing and the
-// one persist of the filled segment), each source bucket once (its moved
-// slots cleared with one store), plus a few lines of state marks,
-// allocator bookkeeping, directory doubling and commit.
+// line of the new segment at most once (the one persist of the filled
+// segment; the allocator does not zero a split destination), each source
+// bucket once (its moved slots cleared with one store), plus a few lines
+// of state marks, allocator bookkeeping, directory doubling and commit.
 TEST_F(DashEhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   // Keys whose top hash bit is 0 all land in the first of the two
   // segments. Count how many fit before an insert has to split it.
@@ -219,7 +219,7 @@ TEST_F(DashEhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   const uint64_t source_buckets =
       opts_.buckets_per_segment + opts_.stash_buckets;
   constexpr uint64_t kFixedLines = 32;
-  EXPECT_LE(clwb, 2 * segment_lines + source_buckets + kFixedLines)
+  EXPECT_LE(clwb, segment_lines + source_buckets + kFixedLines)
       << moving << " records moved";
   table.CloseClean();
   pool->CloseClean();

@@ -85,10 +85,10 @@ TEST_F(DashLhTest, ManualExpansionPreservesRecords) {
 }
 
 // The LH split moves its records without a flush per record: each line
-// of the new buddy is flushed at most twice (the allocator's zeroing and
-// the one persist of the filled buddy), each source bucket once, plus a
-// few lines of state marks, allocator bookkeeping, the buddy's array and
-// the commit.
+// of the new buddy is flushed at most once (the one persist of the filled
+// buddy; the allocator does not zero a split buddy), each source bucket
+// once, plus a few lines of state marks, allocator bookkeeping, the
+// buddy's array and the commit.
 TEST_F(DashLhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   // With 4 base segments, keys whose segment bits end in 00 all land in
   // segment 0, the first to split. Count how many fit before an insert
@@ -130,7 +130,7 @@ TEST_F(DashLhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   const uint64_t source_buckets =
       opts_.buckets_per_segment + opts_.stash_buckets;
   constexpr uint64_t kFixedLines = 32;
-  EXPECT_LE(clwb, 2 * segment_lines + source_buckets + kFixedLines)
+  EXPECT_LE(clwb, segment_lines + source_buckets + kFixedLines)
       << moving << " records moved";
   table.CloseClean();
   pool->CloseClean();

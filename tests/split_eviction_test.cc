@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -183,6 +185,134 @@ void SweepSplitPoints(const char* kind) {
         if (::testing::Test::HasFatalFailure()) return;
       }
     }
+  }
+}
+
+// A split destination is reserved without zeroing, so it may be a block
+// whose last owner left records in it. Merge a Dash-EH buddy pair, write
+// the retired right sibling's pre-merge image (its records still
+// allocated) back into the freed block, then insert until a split takes
+// that block as its child: once without a crash, and once crashing at
+// split_after_fill with each unflushed line kept with probability p. The
+// table must hold exactly the inserted keys either way.
+void RunRecycledSplitCase(bool crash, uint64_t seed) {
+  InjectionCleanup cleanup;
+  test::TempPoolFile file("evict_recycled");
+  auto pool = test::CreatePool(file, kPoolSize);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  const DashOptions opts = SmallTableOptions();
+  auto table = std::make_unique<DashEH<>>(pool.get(), &epochs, opts);
+
+  // Grow to many segments, then thin the table so a buddy pair merges.
+  constexpr uint64_t kGrowKeys = 2000;
+  constexpr uint64_t kKeptKeys = 100;
+  for (uint64_t k = 1; k <= kGrowKeys; ++k) {
+    ASSERT_EQ(table->Insert(k, ValueOf(k)), OpStatus::kOk) << "key " << k;
+  }
+  for (uint64_t k = kKeptKeys + 1; k <= kGrowKeys; ++k) {
+    ASSERT_EQ(table->Delete(k), OpStatus::kOk) << "key " << k;
+  }
+  const size_t segment_bytes =
+      Segment::AllocSize(opts.buckets_per_segment, opts.stash_buckets);
+  std::map<Segment*, std::vector<char>> images;
+  table->ForEachSegment([&](Segment* seg) {
+    const char* bytes = reinterpret_cast<const char*>(seg);
+    images[seg].assign(bytes, bytes + segment_bytes);
+  });
+  bool merged = false;
+  for (uint64_t probe = 0; probe < 64 && !merged; ++probe) {
+    merged = table->MergeForTest(util::HashInt64(probe * 977 + 1));
+  }
+  ASSERT_TRUE(merged);
+  auto in_directory = [&](const Segment* target) {
+    bool found = false;
+    table->ForEachSegment([&](Segment* seg) { found |= seg == target; });
+    return found;
+  };
+  Segment* recycled = nullptr;
+  for (const auto& [seg, image] : images) {
+    if (!in_directory(seg)) recycled = seg;
+  }
+  ASSERT_NE(recycled, nullptr);
+  epochs.DrainAll();  // the retired sibling goes back to the allocator
+  std::memcpy(static_cast<void*>(recycled), images[recycled].data(),
+              segment_bytes);
+  pmem::Persist(recycled, segment_bytes);
+  ASSERT_GT(recycled->RecordCount(), 0u) << "the freed block holds no record";
+  const uint64_t recycled_off = pool->ToOffset(recycled);
+
+  if (crash) {
+    ASSERT_TRUE(pmem::TornWriteArm());
+    ASSERT_TRUE(pmem::CrashPointArm("split_after_fill", 0));
+  }
+  uint64_t crashed_at = 0;
+  uint64_t last = kGrowKeys;
+  while (crashed_at == 0 && !in_directory(recycled)) {
+    ++last;
+    ASSERT_LE(last, 4 * kGrowKeys) << "no split reused the freed block";
+    try {
+      ASSERT_EQ(table->Insert(last, ValueOf(last)), OpStatus::kOk)
+          << "key " << last;
+    } catch (const pmem::CrashInjected&) {
+      crashed_at = last;
+    }
+  }
+  pmem::CrashPointDisarm();
+  ASSERT_EQ(crashed_at != 0, crash);
+
+  if (crash) {
+    pmem::TornWriteRevert(kKeepProbability, seed);
+    epochs.DiscardAll();
+    table.reset();
+    pool->CloseDirty();
+    pool.reset();
+    pool = pmem::PmPool::Open(file.path());
+    ASSERT_NE(pool, nullptr);
+    ASSERT_TRUE(pool->recovered_from_crash());
+  }
+  epoch::EpochManager epochs2;
+  if (crash) {
+    table = std::make_unique<DashEH<>>(pool.get(), &epochs2, opts);
+    ASSERT_TRUE(table->VerifyStructure());
+  }
+
+  uint64_t expected = 0;
+  uint64_t value = 0;
+  auto check_committed = [&](uint64_t k) {
+    ASSERT_EQ(table->Search(k, &value), OpStatus::kOk)
+        << "committed key " << k << " lost";
+    ASSERT_EQ(value, ValueOf(k)) << "key " << k << " corrupt";
+    ++expected;
+  };
+  for (uint64_t k = 1; k <= kKeptKeys; ++k) check_committed(k);
+  const uint64_t committed_end = crash ? crashed_at : last + 1;
+  for (uint64_t k = kGrowKeys + 1; k < committed_end; ++k) check_committed(k);
+  if (crash) {
+    const OpStatus in_flight = table->Search(crashed_at, &value);
+    ASSERT_TRUE(in_flight == OpStatus::kOk || in_flight == OpStatus::kNotFound);
+    if (in_flight == OpStatus::kOk) {
+      ASSERT_EQ(value, ValueOf(crashed_at));
+      ++expected;
+    }
+  }
+  // The searches rolled an interrupted split forward into the block.
+  ASSERT_TRUE(in_directory(pool->FromOffset<Segment>(recycled_off)));
+  ASSERT_EQ(table->Stats().records, expected)
+      << "stale records of the recycled block became visible";
+  table->CloseClean();
+  pool->CloseClean();
+}
+
+TEST(SplitEvictionTest, SplitIntoRecycledBlockHoldsExactRecords) {
+  RunRecycledSplitCase(/*crash=*/false, /*seed=*/0);
+}
+
+TEST(SplitEvictionTest, SplitIntoRecycledBlockRecoversExactlyAfterEviction) {
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunRecycledSplitCase(/*crash=*/true, seed);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
