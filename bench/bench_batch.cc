@@ -35,8 +35,8 @@
 // submitter threads drive SubmitExecute against the per-shard worker
 // executor, each keeping --window=W batches in flight, and the same
 // mixed stream is measured on the sequential caller-thread path for
-// comparison. Results (plus machine context) are appended as JSON to
-// --json-out (default BENCH_async.json) — the perf-trajectory artifact.
+// comparison. With --json-out=PATH the results (plus machine context) are
+// also appended to PATH as one JSON line.
 //
 // --churn[=MULT] (default MULT=4) switches to the hybrid-tier log
 // compaction A/B instead: preload, live-set downsize to a sixteenth, then
@@ -45,8 +45,7 @@
 // background compactor racing the storm. Each leg reports storm
 // throughput, live-space amplification, and post-churn dirty-reopen
 // time; a churn-summary JSON line carries the on/off ratios the CI
-// churn gate asserts on. The mode also emits the SWAR-vs-scalar
-// fingerprint-probe microbench datapoint (op "fp_probe").
+// churn gate asserts on.
 
 #include <algorithm>
 #include <atomic>
@@ -60,7 +59,6 @@
 #include <unistd.h>
 
 #include "bench_common.h"
-#include "hybrid/hybrid_table.h"
 #include "util/amac.h"
 #include "util/hash.h"
 #include "util/rand.h"
@@ -72,8 +70,8 @@ namespace {
 constexpr size_t kMaxBatch = 256;
 
 // One JSON fragment with the AMAC engine's per-op suspend/resume
-// telemetry (drained between phases; empty when no op ran through a
-// suspending engine, e.g. Level's writes).
+// telemetry (drained between phases; empty when no op ran through an
+// AMAC engine, e.g. single-op phases).
 std::string TelemetryJson(const util::AmacTelemetry& t) {
   if (t.ops == 0) return "";
   char buf[512];
@@ -519,7 +517,8 @@ PhaseResult AsyncMixedPhase(api::ShardedStore* store, uint64_t preloaded,
 }
 
 // Sequential baseline vs per-shard-worker async submission on identical
-// mixed streams, reported to stdout and appended to `json_path`.
+// mixed streams, reported to stdout and, when `json_path` is not empty,
+// appended to it.
 int RunAsyncServingMode(api::IndexKind kind, size_t shards, int clients,
                         size_t batch, size_t window, uint64_t preload,
                         uint64_t ops, const BenchConfig& config,
@@ -582,6 +581,7 @@ int RunAsyncServingMode(api::IndexKind kind, size_t shards, int clients,
       "\n",
       name.c_str(), shards, clients, batch, speedup);
   std::fflush(stdout);
+  if (json_path.empty()) return 0;
 
   std::FILE* out = std::fopen(json_path.c_str(), "a");
   if (out == nullptr) {
@@ -622,65 +622,6 @@ int RunAsyncServingMode(api::IndexKind kind, size_t shards, int clients,
 // live-space amplification (log_chunk_bytes / live-bytes), and the
 // post-churn dirty-reopen time (scan rebuild — a compacted log scans
 // fewer chunks). The CI churn gate parses the summary line.
-
-// The per-byte fingerprint compare loop the SWAR probe replaced, kept
-// here as the A/B baseline. Both probes fold the matched slot index into
-// the returned accumulator so neither loop can be optimized away.
-uint64_t FpProbeScalar(uint64_t fps, uint8_t fp) {
-  uint64_t acc = 0;
-  for (uint64_t s = 0; s < 8; ++s) {
-    if (static_cast<uint8_t>(fps >> (8 * s)) == fp) acc += s + 1;
-  }
-  return acc;
-}
-
-uint64_t FpProbeSwar(uint64_t fps, uint8_t fp) {
-  uint64_t acc = 0;
-  for (uint64_t m = hybrid::MatchFps(fps, fp); m != 0; m &= m - 1) {
-    const uint64_t s = __builtin_ctzll(m) >> 3;
-    // Mirror of the probe path's key compare behind the candidate mask
-    // (SWAR may flag the byte above a true match; the compare strips it).
-    if (static_cast<uint8_t>(fps >> (8 * s)) == fp) acc += s + 1;
-  }
-  return acc;
-}
-
-// Satellite A/B datapoint: the branch-free SWAR fingerprint probe
-// (hybrid::MatchFps) vs the per-byte compare loop it replaced, over the
-// same random (fps, fp) stream. One JSON line; ~1 in 32 probes carries a
-// real match, like a bucket probe on a half-loaded table.
-void RunFpProbeAB() {
-  constexpr size_t kWords = 1 << 16;
-  constexpr uint64_t kProbes = 1 << 24;
-  std::vector<uint64_t> words(kWords);
-  util::Xoshiro256 rng(0x5eed);
-  for (auto& w : words) w = rng.Next();
-  auto run = [&](uint64_t (*probe)(uint64_t, uint8_t)) {
-    uint64_t sink = 0;
-    const auto start = std::chrono::steady_clock::now();
-    for (uint64_t i = 0; i < kProbes; ++i) {
-      const uint64_t fps = words[i & (kWords - 1)];
-      // Every 32nd probe aims at a byte actually present in the word.
-      const uint8_t fp = (i & 31) == 0
-                             ? static_cast<uint8_t>(fps >> ((i & 7) * 8))
-                             : static_cast<uint8_t>(i * 0x9e);
-      sink += probe(fps, fp);
-    }
-    const double ns = std::chrono::duration<double, std::nano>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    asm volatile("" : : "r"(sink));
-    return ns / static_cast<double>(kProbes);
-  };
-  const double scalar_ns = run(FpProbeScalar);
-  const double swar_ns = run(FpProbeSwar);
-  std::printf(
-      "{\"bench\":\"bench_batch\",\"op\":\"fp_probe\",\"probes\":%llu,"
-      "\"scalar_ns\":%.3f,\"swar_ns\":%.3f,\"speedup\":%.2f}\n",
-      static_cast<unsigned long long>(kProbes), scalar_ns, swar_ns,
-      swar_ns > 0 ? scalar_ns / swar_ns : 0.0);
-  std::fflush(stdout);
-}
 
 struct ChurnLeg {
   PhaseResult storm;
@@ -772,7 +713,6 @@ int RunChurnMode(const BenchConfig& config, uint64_t records,
       config.thread_counts.empty() ? 4 : config.thread_counts.back();
   const uint64_t updates = records * churn_mult;
   const uint64_t live = records / 16;
-  RunFpProbeAB();
 
   ChurnTable off = OpenChurnTable(config, false);
   ChurnTable on = OpenChurnTable(config, true);
@@ -899,7 +839,7 @@ int main(int argc, char** argv) {
   size_t window = 4;
   bool has_threads_flag = false;
   std::string only_table;
-  std::string json_out = "BENCH_async.json";
+  std::string json_out;  // --json-out: async-mode results file, if any
   std::string workload_arg;
   uint64_t churn_mult = 0;  // 0 = churn mode off
   double check_speedup = 0.0;
@@ -977,8 +917,7 @@ int main(int argc, char** argv) {
   PrintHeader("bench_batch");
 
   // --churn[=MULT]: hybrid-tier space/throughput under sustained update
-  // churn, compaction on vs off (plus the SWAR fingerprint-probe A/B
-  // datapoint).
+  // churn, compaction on vs off.
   if (churn_mult > 0) {
     if (shards > 0 || !workload_arg.empty()) {
       std::fprintf(stderr,

@@ -6,7 +6,8 @@
 // A 4-shard store is opened with its per-shard worker threads (the
 // default); batches are scattered on this thread, executed on the
 // workers, and the returned BatchFuture tells us when the caller-owned
-// result arrays are safe to read.
+// result arrays are safe to read. Exits non-zero if a search misses or the
+// store holds a different record count than was inserted.
 
 #include <cstdio>
 #include <string>
@@ -115,5 +116,8 @@ int main(int argc, char** argv) {
       store->SubmitExecute(ops.data(), ops.size(), statuses.data());
   std::printf("submit after close: %s\n",
               StatusName(rejected.submit_status()));
-  return 0;
+  for (const Status s : search_status) {
+    if (s != Status::kOk) return 1;
+  }
+  return stats.totals.records == next_key - 1 ? 0 : 1;
 }

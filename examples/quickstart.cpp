@@ -1,6 +1,7 @@
 // Quickstart: create a persistent pool, open a Dash-EH table in it, do a
 // few operations, close cleanly, reopen and observe the data is still
-// there. Run:  ./quickstart [pool-path]
+// there. Run:  ./quickstart [pool-path]  (exits non-zero if the reopened
+// table lost the record or kept it after the delete)
 
 #include <cstdio>
 #include <string>
@@ -63,11 +64,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long>(table->Stats().records));
 
     table->Delete(217);
+    const bool still_found = api::IsOk(table->Search(217, &value));
     std::printf("session 2: deleted key 217; search now %s\n",
-                api::IsOk(table->Search(217, &value)) ? "hits" : "misses");
+                still_found ? "hits" : "misses");
 
     table->CloseClean();
     pool->CloseClean();
+    if (!found || still_found) {
+      std::remove(path.c_str());
+      return 1;
+    }
   }
   std::remove(path.c_str());
   std::printf("quickstart OK\n");

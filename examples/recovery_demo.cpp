@@ -5,7 +5,7 @@
 // request — constant, regardless of data size — and (2) how throughput
 // ramps up while lazy recovery touches segments on demand.
 //
-// Run:  ./recovery_demo [records]
+// Run:  ./recovery_demo [records]  (exits non-zero on data loss)
 
 #include <chrono>
 #include <cstdio>
@@ -85,6 +85,10 @@ int main(int argc, char** argv) {
                 missing == 0 ? "OK" : "DATA LOSS");
     table->CloseClean();
     pool->CloseClean();
+    if (missing != 0) {
+      std::remove(path.c_str());
+      return 1;
+    }
   }
   std::remove(path.c_str());
   return 0;

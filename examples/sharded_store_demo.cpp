@@ -3,6 +3,10 @@
 // of API v2. Each shard owns its own pool and epoch manager; the store
 // scatters a batch per shard, runs every sub-batch through that shard's
 // prefetch pipeline, and gathers results in caller order.
+//
+//   ./sharded_store_demo [pool_prefix]
+//
+// Exits non-zero if any op's status differs from the one the demo expects.
 
 #include <cstdio>
 #include <string>
@@ -11,12 +15,22 @@
 
 using namespace dash;
 
-int main() {
+namespace {
+void RemoveStoreFiles(const api::ShardedStoreOptions& options) {
+  for (size_t i = 0; i < options.shards; ++i) {
+    std::remove((options.path_prefix + ".shard" + std::to_string(i)).c_str());
+  }
+  std::remove((options.path_prefix + ".manifest").c_str());
+}
+}  // namespace
+
+int main(int argc, char** argv) {
   api::ShardedStoreOptions options;
   options.kind = api::IndexKind::kDashEH;
   options.shards = 4;
-  options.path_prefix = "/tmp/dash_sharded_demo";
+  options.path_prefix = argc > 1 ? argv[1] : "/tmp/dash_sharded_demo";
   options.shard_pool_size = 256ull << 20;
+  RemoveStoreFiles(options);
 
   auto store = api::ShardedStore::Open(options);
   if (store == nullptr) {
@@ -37,10 +51,15 @@ int main() {
       api::Op::Delete(3),        api::Op::Search(0),
   };
   constexpr size_t kN = sizeof(ops) / sizeof(ops[0]);
+  const api::Status expected[kN] = {
+      api::Status::kOk, api::Status::kOk, api::Status::kOk,
+      api::Status::kOk, api::Status::kOk, api::Status::kInvalidArgument};
   api::Status statuses[kN];
   store->MultiExecute(ops, kN, statuses);
 
+  bool as_expected = true;
   for (size_t i = 0; i < kN; ++i) {
+    as_expected = as_expected && statuses[i] == expected[i];
     std::printf("%-6s key=%-6lu -> %-16s", api::OpTypeName(ops[i].type),
                 static_cast<unsigned long>(ops[i].key),
                 api::StatusName(statuses[i]));
@@ -61,9 +80,6 @@ int main() {
       stats.max_shard_load_factor);
 
   store->CloseClean();
-  for (size_t i = 0; i < options.shards; ++i) {
-    std::remove((options.path_prefix + ".shard" + std::to_string(i)).c_str());
-  }
-  std::remove((options.path_prefix + ".manifest").c_str());
-  return 0;
+  RemoveStoreFiles(options);
+  return as_expected ? 0 : 1;
 }

@@ -165,15 +165,7 @@ class IndexAdapter : public BasicKvIndex<Key> {
     table_.PrefetchBatch(keys, count, for_write);
   }
 
-  bool Verify() override {
-    if constexpr (requires(const Table& t) {
-                    { t.VerifyStructure() } -> std::same_as<bool>;
-                  }) {
-      return table_.VerifyStructure();
-    } else {
-      return true;
-    }
-  }
+  bool Verify() override { return table_.VerifyStructure(); }
 
   bool WriteCheckpoint() override {
     if constexpr (requires(Table& t) {

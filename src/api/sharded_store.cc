@@ -413,8 +413,8 @@ Status ShardedStore::RecoverShard(size_t i) {
 // shard instead of unmapping under it, and the op never touches another
 // shard's gate cacheline (the PR-3 store-wide gate made every op on every
 // core contend on one shared line).
-
-Status ShardedStore::Insert(uint64_t key, uint64_t value) {
+template <typename Fn>
+Status ShardedStore::RunSingle(uint64_t key, Fn fn) {
   if (IsReservedKey(key)) return Status::kInvalidArgument;
   const size_t s = ShardOf(key);
   std::shared_lock<std::shared_mutex> gate(gates_[s].mu);
@@ -424,46 +424,26 @@ Status ShardedStore::Insert(uint64_t key, uint64_t value) {
   if (quarantined_[s].load(std::memory_order_acquire)) {
     return Status::kUnavailable;
   }
-  return shards_[s].index->Insert(key, value);
+  return fn(*shards_[s].index);
+}
+
+Status ShardedStore::Insert(uint64_t key, uint64_t value) {
+  return RunSingle(key,
+                   [&](KvIndex& index) { return index.Insert(key, value); });
 }
 
 Status ShardedStore::Search(uint64_t key, uint64_t* value) {
-  if (IsReservedKey(key)) return Status::kInvalidArgument;
-  const size_t s = ShardOf(key);
-  std::shared_lock<std::shared_mutex> gate(gates_[s].mu);
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return Status::kInvalidArgument;
-  }
-  if (quarantined_[s].load(std::memory_order_acquire)) {
-    return Status::kUnavailable;
-  }
-  return shards_[s].index->Search(key, value);
+  return RunSingle(key,
+                   [&](KvIndex& index) { return index.Search(key, value); });
 }
 
 Status ShardedStore::Update(uint64_t key, uint64_t value) {
-  if (IsReservedKey(key)) return Status::kInvalidArgument;
-  const size_t s = ShardOf(key);
-  std::shared_lock<std::shared_mutex> gate(gates_[s].mu);
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return Status::kInvalidArgument;
-  }
-  if (quarantined_[s].load(std::memory_order_acquire)) {
-    return Status::kUnavailable;
-  }
-  return shards_[s].index->Update(key, value);
+  return RunSingle(key,
+                   [&](KvIndex& index) { return index.Update(key, value); });
 }
 
 Status ShardedStore::Delete(uint64_t key) {
-  if (IsReservedKey(key)) return Status::kInvalidArgument;
-  const size_t s = ShardOf(key);
-  std::shared_lock<std::shared_mutex> gate(gates_[s].mu);
-  if (!accepting_.load(std::memory_order_acquire)) {
-    return Status::kInvalidArgument;
-  }
-  if (quarantined_[s].load(std::memory_order_acquire)) {
-    return Status::kUnavailable;
-  }
-  return shards_[s].index->Delete(key);
+  return RunSingle(key, [&](KvIndex& index) { return index.Delete(key); });
 }
 
 namespace {

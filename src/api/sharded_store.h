@@ -301,6 +301,12 @@ class ShardedStore {
 
   ShardedStore() = default;
 
+  // The single-op front end: reserved-key check, the owning shard's close
+  // gate held shared for the call, the accepting and quarantine checks,
+  // then `fn(index)` on the owning shard's index.
+  template <typename Fn>
+  Status RunSingle(uint64_t key, Fn fn);
+
   void ExecuteScattered(Op* ops, size_t count, Status* statuses,
                         uint32_t* shard_of, size_t* start, uint32_t* origin,
                         Op* sub, Status* sub_status, size_t* cursor);

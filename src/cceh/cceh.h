@@ -36,6 +36,7 @@
 #include "dash/config.h"
 #include "dash/key_policy.h"
 #include "dash/op_status.h"
+#include "dash/table_front.h"
 #include "epoch/epoch_manager.h"
 #include "pmem/allocator.h"
 #include "pmem/crash_point.h"
@@ -192,8 +193,10 @@ struct CcehStats {
   uint64_t write_locks = 0;
 };
 
+// Insert/Search/Update/Delete, the Multi* batch calls and PrefetchBatch
+// come from TableFront (dash/table_front.h).
 template <typename KP = IntKeyPolicy>
-class CCEH {
+class CCEH : public TableFront<CCEH<KP>, KP> {
  public:
   using KeyArg = typename KP::KeyArg;
 
@@ -220,84 +223,9 @@ class CCEH {
     pmem::Persist(&root_->clean, 1);
   }
 
-  // Returns kOk, kExists, or kOutOfMemory (split could not allocate).
-  OpStatus Insert(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return InsertWithHash(key, value, h);
-  }
-
-  // Returns kOk or kNotFound.
-  OpStatus Search(KeyArg key, uint64_t* out) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return SearchWithHash(key, h, out);
-  }
-
-  // Returns kOk or kNotFound.
-  OpStatus Delete(KeyArg key) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return DeleteWithHash(key, h);
-  }
-
-  // In-place payload update; returns kOk or kNotFound.
-  OpStatus Update(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return UpdateWithHash(key, value, h);
-  }
-
-  // ---- batched operations ----
-  //
-  // Per-op state machines (util/amac.h). Searches are lock-free
-  // (optimistic versioned probes), so their machine suspends at the
-  // execute-stage probe: resolve + prefetch the header for *read* plus
-  // the 4-cacheline probe window, yield, then probe over warm lines and
-  // revalidate; version conflicts re-resolve through the directory in a
-  // dedicated Retry pass over freshly prefetched lines. Write ops keep
-  // the fixed locked schedule (prefetch-for-ownership, then the exclusive
-  // body in one pass visit — see the suspension constraint in
-  // util/amac.h). One epoch guard per group of kBatchGroupWidth ops.
-
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    AmacMultiSearch(keys, count, values, statuses);
-  }
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = InsertWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = UpdateWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = DeleteWithHash(key, h);
-    });
-  }
-
-  // Runs only the resolve-and-prefetch stages of the batch engine (pure
-  // hint; see DashEH::PrefetchBatch). Searches are optimistic and fetch
-  // the header for read; write batches fetch it for ownership.
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
-  }
-
  private:
+  friend class TableFront<CCEH<KP>, KP>;
+
   // ---- state-machine (AMAC) engine ----
 
   struct AmacOp {
@@ -380,29 +308,6 @@ class CCEH {
             SearchWithHash(keys[base + i], ops[i].hash, &values[base + i]);
       }
       ctr.FlushTo(tele);
-    }
-  }
-
-  // Write machine: PrefetchGroup's Hash -> DirProbe passes (resolve the
-  // entry, prefetch the header for ownership + the probe window), then
-  // Execute (the ordinary locked per-op body, in index order). Fixed
-  // schedule — the whole write body runs under the segment's exclusive
-  // lock, so there is no variable-length continuation for the
-  // round-robin scheduler to interleave (see util/amac.h). The body
-  // revalidates under the segment lock, so a directory gone stale since
-  // resolution costs one warm retry.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-      tele.CountWriteGroup(n);
     }
   }
 

@@ -34,6 +34,7 @@
 #include "dash/config.h"
 #include "dash/key_policy.h"
 #include "dash/segment.h"
+#include "dash/table_front.h"
 #include "epoch/epoch_manager.h"
 #include "pmem/allocator.h"
 #include "pmem/crash_point.h"
@@ -77,8 +78,10 @@ struct DashEhRoot {
   uint32_t stash_buckets;
 };
 
+// Insert/Search/Update/Delete, the Multi* batch calls and PrefetchBatch
+// come from TableFront (dash/table_front.h).
 template <typename KP = IntKeyPolicy>
-class DashEH {
+class DashEH : public TableFront<DashEH<KP>, KP> {
  public:
   using KeyArg = typename KP::KeyArg;
 
@@ -111,86 +114,6 @@ class DashEH {
     epochs_->DrainAll();
     root_->clean = 1;
     pmem::Persist(&root_->clean, 1);
-  }
-
-  // Inserts key -> value. Returns kOk, kExists or kOutOfMemory.
-  OpStatus Insert(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return InsertWithHash(key, value, h);
-  }
-
-  // Replaces the payload of an existing key. Returns kOk or kNotFound.
-  OpStatus Update(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return UpdateWithHash(key, value, h);
-  }
-
-  // Looks up `key`; stores the value in *out. Returns kOk or kNotFound.
-  OpStatus Search(KeyArg key, uint64_t* out) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return SearchWithHash(key, h, out);
-  }
-
-  // Deletes `key`. Returns kOk or kNotFound. When merging is enabled
-  // (options().merge_threshold > 0), deletions occasionally sample the
-  // segment's fullness and merge under-utilized buddy pairs (§4.6).
-  OpStatus Delete(KeyArg key) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return DeleteWithHash(key, h);
-  }
-
-  // ---- batched operations ----
-  //
-  // Per-op state machines (util/amac.h) scheduled as state passes over
-  // groups of kBatchGroupWidth ops: every state transition that touches a
-  // cold line (directory entry, segment header, bucket pair, stash
-  // buckets) issues a prefetch and yields, so execute-stage misses —
-  // stash probes, SMO-triggered retries — overlap across the group
-  // instead of stalling serially. One epoch guard covers each group, and
-  // the engines reuse the single-op probe/retry bodies, so concurrent
-  // SMOs and lazy recovery behave exactly as in the single-op path.
-
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    AmacMultiSearch(keys, count, values, statuses);
-  }
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = InsertWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = UpdateWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = DeleteWithHash(key, h);
-    });
-  }
-
-  // Runs only the resolve-and-prefetch stages of the batch engine,
-  // warming the directory/segment/bucket lines the given keys will
-  // touch. A pure hint — no semantic effect. ShardedStore uses it to
-  // overlap one shard's memory stalls with another shard's execution.
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // Guard: the DirProbe stage dereferences directory entries.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
   }
 
   // Test/maintenance hook: attempts one merge of the buddy pair covering
@@ -303,6 +226,8 @@ class DashEH {
   bool SplitForTest(uint64_t h) { return Split(LookupLive(h), h); }
 
  private:
+  friend class TableFront<DashEH<KP>, KP>;
+
   // ---- state-machine (AMAC) engine ----
   //
   // Monotonic per-op machines scheduled as state passes (util/amac.h):
@@ -407,27 +332,6 @@ class DashEH {
     }
   }
 
-  // Write engine: a fixed-schedule machine — every op takes exactly the
-  // same resolution steps (PrefetchGroup's two passes, each issue
-  // overlapping the previous ops' in-flight lines), and the op body
-  // itself (which takes bucket locks and may run an SMO) must execute in
-  // one pass visit over warm lines. The execute pass runs in index order,
-  // which preserves the batch API's same-type ordering.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-      tele.CountWriteGroup(n);
-    }
-  }
-
   // ---- per-op bodies (caller holds an epoch guard) ----
 
   OpStatus InsertWithHash(KeyArg key, uint64_t value, uint64_t h) {
@@ -470,6 +374,9 @@ class DashEH {
     }
   }
 
+  // When merging is enabled (options().merge_threshold > 0), deletions
+  // occasionally sample the segment's fullness and merge under-utilized
+  // buddy pairs (§4.6).
   OpStatus DeleteWithHash(KeyArg key, uint64_t h) {
     for (;;) {
       Segment* seg = LookupLive(h);

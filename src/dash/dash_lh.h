@@ -28,6 +28,7 @@
 #include "dash/config.h"
 #include "dash/key_policy.h"
 #include "dash/segment.h"
+#include "dash/table_front.h"
 #include "epoch/epoch_manager.h"
 #include "pmem/allocator.h"
 #include "pmem/crash_point.h"
@@ -64,8 +65,10 @@ struct DashLhRoot {
   }
 };
 
+// Insert/Search/Update/Delete, the Multi* batch calls and PrefetchBatch
+// come from TableFront (dash/table_front.h).
 template <typename KP = IntKeyPolicy>
-class DashLH {
+class DashLH : public TableFront<DashLH<KP>, KP> {
  public:
   using KeyArg = typename KP::KeyArg;
 
@@ -92,76 +95,6 @@ class DashLH {
     epochs_->DrainAll();
     root_->clean = 1;
     pmem::Persist(&root_->clean, 1);
-  }
-
-  OpStatus Insert(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return InsertWithHash(key, value, h);
-  }
-
-  OpStatus Search(KeyArg key, uint64_t* out) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return SearchWithHash(key, h, out);
-  }
-
-  // Replaces the payload of an existing key. Returns kOk or kNotFound.
-  OpStatus Update(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return UpdateWithHash(key, value, h);
-  }
-
-  OpStatus Delete(KeyArg key) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return DeleteWithHash(key, h);
-  }
-
-  // ---- batched operations ----
-  //
-  // Per-op state machines (util/amac.h), mirroring Dash-EH. The search
-  // machine also interleaves the hybrid-expansion address resolution
-  // (§5.2) itself: each op's (N, Next) snapshot, array-slot load, header
-  // validation, helping-path detours, bucket probe and stash/chain scan
-  // are separate resumable steps, so the extra resolution work runs under
-  // other ops' misses instead of in front of them.
-
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    AmacMultiSearch(keys, count, values, statuses);
-  }
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = InsertWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = UpdateWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = DeleteWithHash(key, h);
-    });
-  }
-
-  // Runs only the resolve-and-prefetch stages of the batch engine (pure
-  // hint; see DashEH::PrefetchBatch).
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
   }
 
   // ---- introspection ----
@@ -253,6 +186,8 @@ class DashLH {
   void ExpandForTest() { TriggerExpand(); }
 
  private:
+  friend class TableFront<DashLH<KP>, KP>;
+
   // ---- state-machine (AMAC) engine ----
   //
   // Monotonic per-op machines scheduled as state passes (util/amac.h).
@@ -365,26 +300,6 @@ class DashLH {
         statuses[base + i] = status;
       }
       ctr.FlushTo(tele);
-    }
-  }
-
-  // Write engine: PrefetchGroup's resolve + prefetch passes, then the
-  // locked op bodies in index order — the ordered execute pass preserves
-  // the batch API's same-type ordering, and the bodies revalidate through
-  // LookupLive themselves, so a view gone stale since resolution costs
-  // one warm retry.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-      tele.CountWriteGroup(n);
     }
   }
 

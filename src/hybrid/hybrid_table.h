@@ -62,6 +62,7 @@
 #include "dash/config.h"
 #include "dash/key_policy.h"
 #include "dash/op_status.h"
+#include "dash/table_front.h"
 #include "epoch/epoch_manager.h"
 #include "hybrid/pm_log.h"
 #include "pmem/crash_point.h"
@@ -325,8 +326,10 @@ struct HybridStats {
   uint64_t recovery_staleness = 0;
 };
 
+// Insert/Search/Update/Delete, the Multi* batch calls and PrefetchBatch
+// come from TableFront (dash/table_front.h).
 template <typename KP = IntKeyPolicy>
-class HybridTable {
+class HybridTable : public TableFront<HybridTable<KP>, KP> {
  public:
   using KeyArg = typename KP::KeyArg;
 
@@ -444,66 +447,6 @@ class HybridTable {
     return progressed;
   }
 
-  OpStatus Insert(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return InsertWithHash(key, value, h);
-  }
-
-  OpStatus Search(KeyArg key, uint64_t* out) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return SearchWithHash(key, h, out);
-  }
-
-  OpStatus Delete(KeyArg key) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return DeleteWithHash(key, h);
-  }
-
-  OpStatus Update(KeyArg key, uint64_t value) {
-    const uint64_t h = KP::Hash(key);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return UpdateWithHash(key, value, h);
-  }
-
-  // ---- batched operations (engines mirror CCEH; see cceh.h) ----
-
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    AmacMultiSearch(keys, count, values, statuses);
-  }
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = InsertWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = UpdateWithHash(key, values[i], h);
-    });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    AmacForEach(keys, count, [&](size_t i, KeyArg key, uint64_t h) {
-      statuses[i] = DeleteWithHash(key, h);
-    });
-  }
-
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) {
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, for_write);
-    }
-  }
-
   uint64_t global_depth() const { return Dir()->global_depth; }
 
   template <typename Fn>
@@ -597,6 +540,8 @@ class HybridTable {
   }
 
  private:
+  friend class TableFront<HybridTable<KP>, KP>;
+
   using MapKey = std::conditional_t<KP::kInline, uint64_t, std::string>;
 
   // ---- lifecycle ----
@@ -1812,24 +1757,6 @@ class HybridTable {
             SearchWithHash(keys[base + i], ops[i].hash, &values[base + i]);
       }
       ctr.FlushTo(tele);
-    }
-  }
-
-  // Write machine: fixed two-pass schedule, same reasoning as CCEH — the
-  // whole write body runs under the segment's exclusive lock, so there is
-  // no variable-length continuation to interleave.
-  template <typename ExecFn>
-  void AmacForEach(const KeyArg* keys, size_t count, ExecFn exec) {
-    util::AmacTelemetry& tele = util::AmacTelemetry::Local();
-    uint64_t hashes[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, hashes, /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], hashes[i]);
-      }
-      tele.CountWriteGroup(n);
     }
   }
 

@@ -32,6 +32,7 @@
 #include "dash/config.h"
 #include "dash/key_policy.h"
 #include "dash/op_status.h"
+#include "dash/table_front.h"
 #include "epoch/epoch_manager.h"
 #include "pmem/allocator.h"
 #include "pmem/crash_point.h"
@@ -131,8 +132,13 @@ struct LevelStats {
   uint64_t write_locks = 0;
 };
 
+// Insert/Search/Update/Delete, the Multi* batch calls and PrefetchBatch
+// come from TableFront (dash/table_front.h). Its write engine runs one
+// prefetch pass here: a Level write probes all four candidates while
+// holding every involved stripe lock (LockAll), so there is no lock-free
+// program point after the candidate prefetch to suspend at.
 template <typename KP = IntKeyPolicy>
-class LevelHashing {
+class LevelHashing : public TableFront<LevelHashing<KP>, KP, 1> {
  public:
   using KeyArg = typename KP::KeyArg;
 
@@ -160,98 +166,6 @@ class LevelHashing {
     epochs_->DrainAll();
     root_->clean = 1;
     pmem::Persist(&root_->clean, 1);
-  }
-
-  // Returns kOk, kExists, or kOutOfMemory (resize could not allocate).
-  OpStatus Insert(KeyArg key, uint64_t value) {
-    const uint64_t h1 = KP::Hash(key);
-    const uint64_t h2 = util::Mix64(h1);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return InsertWithHashes(key, value, h1, h2);
-  }
-
-  // Returns kOk or kNotFound.
-  OpStatus Search(KeyArg key, uint64_t* out) {
-    const uint64_t h1 = KP::Hash(key);
-    const uint64_t h2 = util::Mix64(h1);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return SearchWithHashes(key, h1, h2, out);
-  }
-
-  // Returns kOk or kNotFound.
-  OpStatus Delete(KeyArg key) {
-    const uint64_t h1 = KP::Hash(key);
-    const uint64_t h2 = util::Mix64(h1);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return DeleteWithHashes(key, h1, h2);
-  }
-
-  // In-place payload update; returns kOk or kNotFound.
-  OpStatus Update(KeyArg key, uint64_t value) {
-    const uint64_t h1 = KP::Hash(key);
-    const uint64_t h2 = util::Mix64(h1);
-    epoch::EpochManager::Guard guard(*epochs_);
-    return UpdateWithHashes(key, value, h1, h2);
-  }
-
-  // ---- batched operations ----
-  //
-  // Searches run per-op state machines (util/amac.h) that split the
-  // two-level reprobe into resumable halves: each search prefetches only
-  // its two top-level candidates first, yields, probes them, and only on
-  // a top-level miss prefetches + probes the bottom (standby) level — so
-  // one op's bottom-level fill overlaps other ops' top-level probes, and
-  // top-level hits never fetch bottom lines at all. Searches are
-  // optimistic (no stripe or resize lock held), so every suspend point is
-  // lock-free; a resize that commits mid-group fails the per-op
-  // revalidation and the op finishes through the Retry path. One epoch
-  // guard per group of kBatchGroupWidth ops.
-
-  void MultiSearch(const KeyArg* keys, size_t count, uint64_t* values,
-                   OpStatus* statuses) {
-    AmacMultiSearch(keys, count, values, statuses);
-  }
-
-  // Write batches run ForEachGroup's prefetch-then-execute schedule: a
-  // Level write probes all four candidates while holding every involved
-  // stripe lock (LockAll), so there is no lock-free program point left to
-  // suspend at — a state machine would degenerate to exactly this
-  // schedule.
-
-  void MultiInsert(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    ForEachGroup(keys, count,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = InsertWithHashes(key, values[i], h1, h2);
-                 });
-  }
-
-  void MultiUpdate(const KeyArg* keys, const uint64_t* values, size_t count,
-                   OpStatus* statuses) {
-    ForEachGroup(keys, count,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = UpdateWithHashes(key, values[i], h1, h2);
-                 });
-  }
-
-  void MultiDelete(const KeyArg* keys, size_t count, OpStatus* statuses) {
-    ForEachGroup(keys, count,
-                 [&](size_t i, KeyArg key, uint64_t h1, uint64_t h2) {
-                   statuses[i] = DeleteWithHashes(key, h1, h2);
-                 });
-  }
-
-  // Runs only the prefetch stage of the batch engine (pure hint; see
-  // DashEH::PrefetchBatch). No epoch guard needed: the stage computes
-  // candidate addresses without dereferencing them, and a prefetch of a
-  // concurrently retired block never faults.
-  void PrefetchBatch(const KeyArg* keys, size_t count, bool for_write) const {
-    uint64_t h1s[util::kBatchGroupWidth];
-    uint64_t h2s[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      PrefetchGroup(keys + base, n, h1s, h2s, for_write);
-    }
   }
 
   LevelStats Stats() const {
@@ -307,6 +221,8 @@ class LevelHashing {
   }
 
  private:
+  friend class TableFront<LevelHashing<KP>, KP, 1>;
+
   static constexpr uint32_t kStripes = 4096;
 
   struct Candidates {
@@ -315,33 +231,14 @@ class LevelHashing {
     uint64_t ids[4];  // global bucket ids (top: [0,N), bottom: N + [0,N/2))
   };
 
-  // Write engine: per group of kBatchGroupWidth operations run the
-  // prefetch stage (for ownership) and invoke exec(global_index, key, h1,
-  // h2) for each.
-  template <typename ExecFn>
-  void ForEachGroup(const KeyArg* keys, size_t count, ExecFn exec) {
-    uint64_t h1s[util::kBatchGroupWidth];
-    uint64_t h2s[util::kBatchGroupWidth];
-    for (size_t base = 0; base < count; base += util::kBatchGroupWidth) {
-      const size_t n = std::min(util::kBatchGroupWidth, count - base);
-      // One guard per group: amortizes the seq-cst epoch pin over
-      // kBatchGroupWidth ops without stalling reclamation for the whole
-      // (unbounded) batch.
-      epoch::EpochManager::Guard guard(*epochs_);
-      PrefetchGroup(keys + base, n, h1s, h2s, /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        exec(base + i, keys[base + i], h1s[i], h2s[i]);
-      }
-    }
-  }
-
   // ---- per-op bodies (caller holds an epoch guard) ----
+  //
+  // `h` is the key's first hash; the second choice is Mix64(h) (Locate).
 
-  OpStatus InsertWithHashes(KeyArg key, uint64_t value, uint64_t h1,
-                            uint64_t h2) {
+  OpStatus InsertWithHash(KeyArg key, uint64_t value, uint64_t h) {
     for (;;) {
       resize_lock_.LockShared();
-      const AttemptResult result = InsertAttempt(key, value, h1, h2);
+      const AttemptResult result = InsertAttempt(key, value, h);
       resize_lock_.UnlockShared();
       if (result == AttemptResult::kInserted) return OpStatus::kOk;
       if (result == AttemptResult::kDuplicate) return OpStatus::kExists;
@@ -359,13 +256,12 @@ class LevelHashing {
   // invalidates the snapshot and the whole op retries against the fresh
   // top/bottom pointers; the epoch guard keeps a retired bottom array
   // mapped while a stale probe is still touching it.
-  OpStatus SearchWithHashes(KeyArg key, uint64_t h1, uint64_t h2,
-                            uint64_t* out) {
+  OpStatus SearchWithHash(KeyArg key, uint64_t h, uint64_t* out) {
     util::SpinBackoff backoff;
     for (;;) {
       const uint32_t rs = SnapshotResize();
-      Candidates c = Locate(h1, h2);
-      const bool found = ProbeCandidateRangeOptimistic(c, 0, 4, h1, key, out);
+      Candidates c = Locate(h);
+      const bool found = ProbeCandidateRangeOptimistic(c, 0, 4, h, key, out);
       if (resize_lock_.Verify(rs)) {
         return found ? OpStatus::kOk : OpStatus::kNotFound;
       }
@@ -448,7 +344,7 @@ class LevelHashing {
       tele.ops += n;
       for (size_t i = 0; i < n; ++i) {
         h1s[i] = KP::Hash(keys[base + i]);
-        cands[i] = Locate(h1s[i], util::Mix64(h1s[i]));
+        cands[i] = Locate(h1s[i]);
         // First top candidate only: each later candidate is fetched
         // lazily on a miss of the previous one, keeping the group's
         // outstanding-prefetch burst within what the core's miss buffers
@@ -515,69 +411,89 @@ class LevelHashing {
         // (fresh snapshot, fresh candidate pointers).
         lock_stats_.CountRetry();
         statuses[base + i] =
-            SearchWithHashes(keys[base + i], h1s[i], util::Mix64(h1s[i]),
-                             &values[base + i]);
+            SearchWithHash(keys[base + i], h1s[i], &values[base + i]);
       }
       ctr.FlushTo(tele);
     }
   }
 
-  OpStatus DeleteWithHashes(KeyArg key, uint64_t h1, uint64_t h2) {
+  // Updates and deletes act on every copy of the key among the four
+  // candidates. A crash between the insert movement's copy and its delete
+  // (InsertAttempt) leaves the moved key in two buckets, and a later resize
+  // may rehash both copies into one bucket. Recovery does constant work
+  // and never looks for them, so a write that stopped at the first copy
+  // would let the other one come back.
+  OpStatus DeleteWithHash(KeyArg key, uint64_t h) {
     resize_lock_.LockShared();
-    Candidates c = Locate(h1, h2);
+    Candidates c = Locate(h);
     LockAll(c);
-    bool found = false;
-    for (int i = 0; i < 4 && !found; ++i) {
-      const int slot = FindIn(c.buckets[i], h1 & 0xFF, key);
-      if (slot >= 0) {
-        KP::FreeStored(c.buckets[i]->records[slot].key, alloc_);
-        c.buckets[i]->Delete(slot);
-        found = true;
-      }
-    }
+    uint64_t stored = 0;
+    const bool found = ForEachCopy(c, key, [&](LevelBucket* b, int slot) {
+      stored = b->records[slot].key;
+      b->Delete(slot);
+    });
+    // The copies share one stored key word (the movement copies it), so a
+    // variable-length key's blob is freed once, after the last copy left.
+    if (found) KP::FreeStored(stored, alloc_);
     UnlockAll(c);
     resize_lock_.UnlockShared();
     return found ? OpStatus::kOk : OpStatus::kNotFound;
   }
 
-  OpStatus UpdateWithHashes(KeyArg key, uint64_t value, uint64_t h1,
-                            uint64_t h2) {
+  OpStatus UpdateWithHash(KeyArg key, uint64_t value, uint64_t h) {
     resize_lock_.LockShared();
-    Candidates c = Locate(h1, h2);
+    Candidates c = Locate(h);
     LockAll(c);
-    bool found = false;
-    for (int i = 0; i < 4 && !found; ++i) {
-      const int slot = FindIn(c.buckets[i], 0, key);
-      if (slot >= 0) {
-        pmem::AtomicPersist64(&c.buckets[i]->records[slot].value, value);
-        found = true;
-      }
-    }
+    const bool found = ForEachCopy(c, key, [&](LevelBucket* b, int slot) {
+      pmem::AtomicPersist64(&b->records[slot].value, value);
+    });
     UnlockAll(c);
     resize_lock_.UnlockShared();
     return found ? OpStatus::kOk : OpStatus::kNotFound;
   }
 
-  // The prefetch stage shared by the write engine and PrefetchBatch: hash
-  // the group and prefetch both cachelines of all four candidate buckets.
-  // The top/bottom pointers and bucket count may be swapped by a
+  // Calls fn(bucket, slot) for every slot of the candidate buckets that
+  // holds `key`, visiting a bucket listed twice (equal choices) once.
+  // Caller holds the candidates' stripes.
+  template <typename Fn>
+  bool ForEachCopy(const Candidates& c, KeyArg key, Fn fn) {
+    bool found = false;
+    for (int i = 0; i < 4; ++i) {
+      LevelBucket* b = c.buckets[i];
+      if ((i & 1) != 0 && b == c.buckets[i - 1]) continue;
+      pmem::ReadProbe(b, 2);
+      uint32_t bits = b->Occupied() & ((1u << kSlotsPerBucket) - 1);
+      while (bits != 0) {
+        const int slot = __builtin_ctz(bits);
+        bits &= bits - 1;
+        if (KP::EqualStored(b->LoadKeyAcquire(slot), key)) {
+          fn(b, slot);
+          found = true;
+        }
+      }
+    }
+    return found;
+  }
+
+  // The one prefetch pass shared by the write engine and PrefetchBatch:
+  // hash the group and prefetch both cachelines of all four candidate
+  // buckets. The top/bottom pointers and bucket count may be swapped by a
   // concurrent resize (hence the atomic snapshot of the count — the
   // resize commit writes it); the snapshot triple may be mutually
   // inconsistent, which is fine because prefetches are never
   // dereferenced, and the execute stage re-locates under the resize
   // lock. A stale prefetch costs at most an extra miss.
-  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* h1s,
-                     uint64_t* h2s, bool for_write) const {
+  void PrefetchGroup(const KeyArg* keys, size_t n, uint64_t* hashes,
+                     bool for_write) const {
     const uint64_t buckets = TopBuckets();
     LevelBucket* top = Top();
     LevelBucket* bottom = Bottom();
     for (size_t i = 0; i < n; ++i) {
-      h1s[i] = KP::Hash(keys[i]);
-      h2s[i] = util::Mix64(h1s[i]);
+      const uint64_t h1 = hashes[i] = KP::Hash(keys[i]);
+      const uint64_t h2 = util::Mix64(h1);
       const LevelBucket* candidates[4] = {
-          &top[h1s[i] & (buckets - 1)], &top[h2s[i] & (buckets - 1)],
-          &bottom[h1s[i] & (buckets / 2 - 1)],
-          &bottom[h2s[i] & (buckets / 2 - 1)]};
+          &top[h1 & (buckets - 1)], &top[h2 & (buckets - 1)],
+          &bottom[h1 & (buckets / 2 - 1)], &bottom[h2 & (buckets / 2 - 1)]};
       for (const LevelBucket* b : candidates) {
         // Both cachelines: records 3-6 live entirely in the second line.
         util::PrefetchRange(b, sizeof(LevelBucket), for_write);
@@ -606,7 +522,8 @@ class LevelHashing {
     return static_cast<uint32_t>(bucket_id) % kStripes;
   }
 
-  Candidates Locate(uint64_t h1, uint64_t h2) const {
+  Candidates Locate(uint64_t h1) const {
+    const uint64_t h2 = util::Mix64(h1);
     // Atomic snapshot: lock-free searches race the resize commit's
     // atomic store of the bucket count (a mutually inconsistent
     // (n, top, bottom) triple is discarded by the resize-version check).
@@ -673,9 +590,8 @@ class LevelHashing {
   enum class AttemptResult { kInserted, kDuplicate, kNeedResize };
 
   // One insert attempt under the shared resize lock.
-  AttemptResult InsertAttempt(KeyArg key, uint64_t value, uint64_t h1,
-                              uint64_t h2) {
-    Candidates c = Locate(h1, h2);
+  AttemptResult InsertAttempt(KeyArg key, uint64_t value, uint64_t h) {
+    Candidates c = Locate(h);
     LockAll(c);
     // Uniqueness check across all four candidates.
     for (int i = 0; i < 4; ++i) {
@@ -721,6 +637,8 @@ class LevelHashing {
           continue;
         }
         alt_bucket->Insert(free_slot, stored, b->records[slot].value);
+        // The record is durable in both buckets until the delete below.
+        CRASH_POINT("level_move_after_copy");
         b->Delete(static_cast<int>(slot));
         locks_[alt_stripe].Unlock();
         const uint64_t new_stored = KP::MakeStored(key, alloc_);

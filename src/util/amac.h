@@ -26,14 +26,14 @@
 // vocabulary, the ready-list, and the suspend/resume telemetry surfaced
 // by bench_batch and bench_suite.
 //
-// Write engines. Write ops hold locks across their whole body (see the
-// constraint below), so every table's write engine is a fixed schedule:
-// the table's PrefetchGroup runs the Hash and DirProbe passes, then the
-// locked op bodies execute in index order (CountWriteGroup records it).
-// PrefetchGroup is the table's only resolve-and-prefetch code;
-// PrefetchBatch reuses it for ShardedStore's cross-shard priming. Level
-// hashing's write engine runs the same prefetch-then-execute schedule
-// without suspend telemetry.
+// Write engine. Write ops hold locks across their whole body (see the
+// constraint below), so the write engine is a fixed schedule, written
+// once for every table in dash/table_front.h: the table's PrefetchGroup
+// runs its prefetch passes (Hash and DirProbe for the directory tables,
+// Hash only for Level hashing), then the locked op bodies execute in index
+// order (CountWriteGroup records it). PrefetchGroup is the table's only
+// resolve-and-prefetch code; PrefetchBatch reuses it for ShardedStore's
+// cross-shard priming.
 //
 // Scheduling constraint: a state machine must never yield while holding a
 // lock another operation in the same group could need — the scheduler is
@@ -96,15 +96,15 @@ struct AmacTelemetry {
 
   void Suspend(AmacState s) { ++suspends[static_cast<size_t>(s)]; }
 
-  // Counts one group of the tables' fixed-schedule write engine: a Hash
-  // pass and a DirProbe pass (each op suspends once after each), then the
-  // execute pass — two steps per op.
-  void CountWriteGroup(size_t n) {
+  // Counts one group of the tables' fixed-schedule write engine:
+  // `prefetch_passes` passes, each op suspending once after each (Hash,
+  // then DirProbe for the directory tables), then the execute pass — one
+  // step per op per prefetch pass.
+  void CountWriteGroup(size_t n, size_t prefetch_passes) {
     ++groups;
     ops += n;
-    suspends[static_cast<size_t>(AmacState::kHash)] += n;
-    suspends[static_cast<size_t>(AmacState::kDirProbe)] += n;
-    steps += 2 * n;
+    for (size_t p = 0; p < prefetch_passes; ++p) suspends[p] += n;
+    steps += prefetch_passes * n;
   }
 
   uint64_t TotalSuspends() const {

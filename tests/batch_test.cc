@@ -14,6 +14,7 @@
 
 #include "api/kv_index.h"
 #include "test_util.h"
+#include "util/amac.h"
 #include "util/rand.h"
 
 namespace dash::api {
@@ -274,6 +275,45 @@ TEST_P(BatchTest, ConcurrentMixedBatchAndSingleOps) {
     ASSERT_EQ(index->Search(k, &value), Status::kOk) << "key " << k;
     ASSERT_EQ(value, k + 1);
   }
+
+  index->CloseClean();
+  pool->CloseClean();
+}
+
+// The shared write engine reports each write's prefetch passes as AMAC
+// suspends: two per op on the directory tables (directory entry, then
+// segment header and buckets), one on Level (its four candidate buckets).
+TEST_P(BatchTest, WriteEngineReportsItsPrefetchPasses) {
+  test::TempPoolFile file(std::string("batch_tele_") +
+                          IndexKindName(GetParam()));
+  auto pool = test::CreatePool(file);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  auto index =
+      CreateKvIndex(GetParam(), pool.get(), &epochs, SmallTableOptions());
+  ASSERT_NE(index, nullptr);
+
+  constexpr size_t kN = 100;  // six full groups and a partial one
+  std::vector<uint64_t> keys(kN), values(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    keys[i] = i + 1;
+    values[i] = i + 7;
+  }
+  std::vector<Status> statuses(kN);
+  util::AmacTelemetry::DrainAll();
+  index->MultiInsert(keys.data(), values.data(), kN, statuses.data());
+  index->MultiUpdate(keys.data(), values.data(), kN, statuses.data());
+  index->MultiDelete(keys.data(), kN, statuses.data());
+  const util::AmacTelemetry t = util::AmacTelemetry::DrainAll();
+
+  const uint64_t ops = 3 * kN;
+  const uint64_t passes = GetParam() == IndexKind::kLevel ? 1 : 2;
+  EXPECT_EQ(t.ops, ops);
+  EXPECT_EQ(t.groups, 3 * 7u);
+  EXPECT_EQ(t.TotalSuspends(), passes * ops);
+  EXPECT_EQ(t.steps, passes * ops);
+  EXPECT_EQ(t.suspends[static_cast<size_t>(util::AmacState::kHash)], ops);
+  for (const Status s : statuses) EXPECT_EQ(s, Status::kOk);
 
   index->CloseClean();
   pool->CloseClean();
