@@ -5,10 +5,17 @@
 // Expected shape (paper): Dash-EH ≈ Dash-LH > CCEH > Level for searches
 // (fingerprints avoid PM reads); Dash ≈ CCEH > Level for inserts; the gaps
 // widen dramatically under variable-length keys (pointer dereferences).
+//
+// --check exits non-zero unless this run's fixed-key PM read counters
+// show the search claims (CheckReads). The counters move by at most a
+// few hundredths from run to run (the preload runs on four threads), far
+// less than the margins the check leaves.
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <string>
 
 #include "bench_common.h"
@@ -60,10 +67,43 @@ void VarKeyOf(uint64_t i, char out[17]) {
                 static_cast<unsigned long long>(i % 1'000'000'000'000'000ull));
 }
 
+// A Dash positive search reads the target bucket's metadata line and the
+// record (2 lines) when the record is in its target bucket, and the
+// probing bucket's metadata line as well when it is not.
+constexpr double kMaxDashPositiveReads = 2.3;
+
+// The Fig. 7 search claims on fixed-key PM reads per op: negative
+// searches read Dash-EH and Dash-LH < CCEH < Level, and Dash positive
+// searches mostly find their record in the target bucket.
+bool CheckReads(const std::map<api::IndexKind, double>& pos_reads,
+                const std::map<api::IndexKind, double>& neg_reads) {
+  const double eh = neg_reads.at(api::IndexKind::kDashEH);
+  const double lh = neg_reads.at(api::IndexKind::kDashLH);
+  const double cceh = neg_reads.at(api::IndexKind::kCCEH);
+  const double level = neg_reads.at(api::IndexKind::kLevel);
+  bool ok = eh < cceh && lh < cceh && cceh < level;
+  std::printf("# check %-6s neg_search reads: dash-eh %.2f, dash-lh %.2f < "
+              "cceh %.2f < level %.2f\n",
+              ok ? "ok" : "FAILED", eh, lh, cceh, level);
+  for (api::IndexKind kind : {api::IndexKind::kDashEH, api::IndexKind::kDashLH}) {
+    const double reads = pos_reads.at(kind);
+    const bool holds = reads <= kMaxDashPositiveReads;
+    std::printf("# check %-6s pos_search reads: %s %.2f <= %.2f\n",
+                holds ? "ok" : "FAILED", api::IndexKindName(kind), reads,
+                kMaxDashPositiveReads);
+    ok = ok && holds;
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const BenchConfig config = ParseArgs(argc, argv);
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) check = true;
+  }
   PrintHeader("fig07_single_thread");
   const uint64_t preload = config.Preload();
   const uint64_t ops = config.Scaled(190'000'000) / 4;  // per-op budget
@@ -74,18 +114,22 @@ int main(int argc, char** argv) {
                                   api::IndexKind::kDashLH};
 
   // --- fixed-length keys ---
+  std::map<api::IndexKind, double> pos_reads;
+  std::map<api::IndexKind, double> neg_reads;
   for (api::IndexKind kind : kinds) {
     DashOptions opts;
     TableHandle h = MakeTable(kind, config, opts);
     Preload(h.table.get(), preload);
     PrintRow("fig07_fixed", api::IndexKindName(kind), "insert", 1,
              InsertPhase(h.table.get(), preload, ops, 1));
-    PrintRow("fig07_fixed", api::IndexKindName(kind), "pos_search", 1,
-             PositiveSearchPhase(h.table.get(), preload, ops, 1));
-    PrintRow("fig07_fixed", api::IndexKindName(kind), "neg_search", 1,
-             NegativeSearchPhase(h.table.get(), preload, ops, 1));
+    const PhaseResult pos = PositiveSearchPhase(h.table.get(), preload, ops, 1);
+    PrintRow("fig07_fixed", api::IndexKindName(kind), "pos_search", 1, pos);
+    const PhaseResult neg = NegativeSearchPhase(h.table.get(), preload, ops, 1);
+    PrintRow("fig07_fixed", api::IndexKindName(kind), "neg_search", 1, neg);
     PrintRow("fig07_fixed", api::IndexKindName(kind), "delete", 1,
              DeletePhase(h.table.get(), std::min(preload, ops), 1));
+    pos_reads[kind] = pos.reads_per_op;
+    neg_reads[kind] = neg.reads_per_op;
   }
 
   // --- variable-length (16-byte) keys ---
@@ -144,6 +188,10 @@ int main(int argc, char** argv) {
           });
       PrintRow("fig07_var", api::IndexKindName(kind), "delete", 1, r);
     }
+  }
+  if (check && !CheckReads(pos_reads, neg_reads)) {
+    std::fprintf(stderr, "fig07 --check: a search read claim failed\n");
+    return 1;
   }
   return 0;
 }

@@ -169,49 +169,37 @@ class DashEH : public TableFront<DashEH<KP>, KP> {
   double LoadFactor() const { return Stats().load_factor; }
 
   // Structural invariant check, for use at a quiescent point (after
-  // open). Recovery is lazy (§4.8), so a crash can leave directory runs
-  // that legally disagree with the stale local depth of a mid-split
-  // segment; verification wants the rolled-forward image, not the
-  // crash-time one. Pass 1 therefore sanity-checks every entry (a wild
-  // pointer fails before anything dereferences deeper) and drives lazy
-  // recovery eagerly over the whole directory. Pass 2 then enforces the
-  // strict invariants: every segment covered by a correctly aligned run
-  // of duplicate entries of length 2^(gd-ld), local depths never above
-  // the global depth, segment metadata sane.
-  bool VerifyStructure() {
+  // open). Read-only, so a crash reopen that runs it stays instant:
+  // recovery is lazy (§4.8), and a segment not recovered yet may be
+  // mid-split, with directory runs that legally disagree with its stale
+  // local depth. Every entry must point into the pool at a segment with
+  // a local depth within the global depth, a known state and a
+  // power-of-two bucket count. A segment already recovered (its version
+  // is the global one) must also be CLEAN and covered by one aligned run
+  // of 2^(gd-ld) entries. Once every segment has been reached, as after
+  // a search of every key, this is the whole-table check.
+  bool VerifyStructure() const {
     EhDirectory* dir = CurrentDir();
     if (dir == nullptr || !pool_->Contains(dir)) return false;
     const uint64_t gd = dir->global_depth;
     if (gd > 48) return false;
     const uint64_t n = 1ull << gd;
-    for (uint64_t i = 0; i < n; ++i) {
-      Segment* seg = dir->entry(i);
-      if (seg == nullptr || !pool_->Contains(seg)) return false;
-      if (seg->local_depth() > gd) return false;
-      if (seg->state() > Segment::kMaxState) return false;
-      if (seg->num_buckets() == 0 ||
-          (seg->num_buckets() & (seg->num_buckets() - 1)) != 0) {
-        return false;
-      }
-      // Roll-forward may repoint this entry at a recovered child; bound
-      // the retries so a cyclic/corrupt image fails instead of hanging.
-      int rounds = 0;
-      while (dir->entry(i)->version() != root_->global_version) {
-        if (++rounds > 4) return false;
-        LazyRecover(dir->entry(i));
-      }
-    }
     uint64_t i = 0;
     while (i < n) {
       Segment* seg = dir->entry(i);
       if (seg == nullptr || !pool_->Contains(seg)) return false;
       const uint32_t ld = seg->local_depth();
       if (ld > gd) return false;
-      if (seg->state() != Segment::kClean) return false;
+      if (seg->state() > Segment::kMaxState) return false;
       if (seg->num_buckets() == 0 ||
           (seg->num_buckets() & (seg->num_buckets() - 1)) != 0) {
         return false;
       }
+      if (seg->version() != root_->global_version) {
+        ++i;
+        continue;
+      }
+      if (seg->state() != Segment::kClean) return false;
       const uint64_t run = 1ull << (gd - ld);
       if ((i & (run - 1)) != 0) return false;        // run misaligned
       for (uint64_t j = i + 1; j < i + run; ++j) {

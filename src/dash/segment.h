@@ -592,8 +592,12 @@ class Segment {
   // which no other operation reads or writes. The one record mover of the
   // Dash-EH and Dash-LH splits and of their recovery, in this order:
   //   1. if `dst` is not FILLED yet, empty it (after a crash it may hold
-  //      any subset of an earlier fill's lines), then place each moving
-  //      record with the insert path's placement but no flush per record;
+  //      any subset of an earlier fill's lines), then put each moving
+  //      record in its target bucket while that bucket has room, and the
+  //      rest with the insert path's placement, all without a flush per
+  //      record. Balanced insert for every record would send most of them
+  //      to their probing bucket, still the emptier one while `dst`
+  //      fills, and a positive search for those reads both buckets;
   //   2. persist `dst` once, chained stash buckets included, and durably
   //      mark it FILLED;
   //   3. clear the moved slots of each source bucket with one metadata
@@ -608,9 +612,15 @@ class Segment {
       Bucket* bucket;
       uint32_t mask;
     };
+    struct Spilled {  // a moving record whose target bucket was full
+      uint64_t stored;
+      uint64_t value;
+      uint64_t hash;
+    };
     const bool fill = dst->state() != kFilled;
     if (fill) dst->ForEachBucket([](Bucket* b) { b->Clear(); });
     std::vector<MovedSlots> moved;
+    std::vector<Spilled> spilled;
     ForEachBucket([&](Bucket* b) {
       const uint32_t alloc_bits = Bucket::AllocBits(b->meta());
       uint32_t mask = 0;
@@ -621,13 +631,21 @@ class Segment {
         if (!moves(h)) continue;
         mask |= 1u << slot;
         if (fill) {
-          dst->PlaceMoved<KP>(stored, b->LoadValue(static_cast<int>(slot)), h,
-                              opts, alloc, allow_stash_chain);
+          const uint64_t value = b->LoadValue(static_cast<int>(slot));
+          Bucket* target = dst->bucket(BucketIndex(h, dst->num_buckets_));
+          if (!target->template Insert<Flush::kDeferred>(
+                  stored, value, Fingerprint(h), /*member=*/false)) {
+            spilled.push_back({stored, value, h});
+          }
         }
       }
       if (mask != 0) moved.push_back({b, mask});
     });
     if (fill) {
+      for (const Spilled& r : spilled) {
+        dst->PlaceMoved<KP>(r.stored, r.value, r.hash, opts, alloc,
+                            allow_stash_chain);
+      }
       CRASH_POINT("split_after_fill");
       dst->ForEachBucket([](Bucket* b) { b->WriteBackOccupied(); });
       pmem::Fence();
@@ -722,8 +740,9 @@ class Segment {
   }
 
  private:
-  // SplitInto's placement of one moving record: the insert path's
-  // balanced insert, displacement and stash, without flushes.
+  // SplitInto's placement of a moving record whose target bucket is full:
+  // the insert path's balanced insert, displacement and stash, without
+  // flushes.
   template <typename KP>
   void PlaceMoved(uint64_t stored, uint64_t value, uint64_t hash,
                   const DashOptions& opts, pmem::PmAllocator* alloc,

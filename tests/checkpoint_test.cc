@@ -36,13 +36,6 @@ namespace {
 using api::IndexKind;
 using api::Status;
 
-struct InjectionCleanup {
-  ~InjectionCleanup() {
-    pmem::CrashPointDisarm();
-    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
-  }
-};
-
 // Removes the checkpoint file (and its temp) when the test scope ends.
 struct TempCheckpoint {
   explicit TempCheckpoint(std::string p) : path(std::move(p)) {
@@ -247,7 +240,7 @@ TEST(CheckpointCrashTest, TornWriterSweepReopensModelEquivalent) {
   for (const char* point : {"ckpt_after_temp_write", "ckpt_after_checksum",
                             "ckpt_after_rename"}) {
     SCOPED_TRACE(point);
-    InjectionCleanup cleanup;
+    test::InjectionCleanup cleanup;
     test::TempPoolFile file("ckpt_torn");
     TempCheckpoint ckpt(file.path() + ".ckpt");
     auto pool = test::CreatePool(file);
@@ -292,7 +285,7 @@ TEST(CheckpointCrashTest, TornWriterSweepReopensModelEquivalent) {
 // load leaves the on-disk image untouched (the load path is PM-read-
 // only); the next open converges to the same table.
 TEST(CheckpointCrashTest, CrashMidCheckpointLoadIsIdempotent) {
-  InjectionCleanup cleanup;
+  test::InjectionCleanup cleanup;
   test::TempPoolFile file("ckpt_load_crash");
   TempCheckpoint ckpt(file.path() + ".ckpt");
   auto pool = test::CreatePool(file);

@@ -41,13 +41,6 @@ HybridOptions CompactingOptions() {
   return o;
 }
 
-struct InjectionCleanup {
-  ~InjectionCleanup() {
-    pmem::CrashPointDisarm();
-    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
-  }
-};
-
 struct TempCheckpoint {
   explicit TempCheckpoint(std::string p) : path(std::move(p)) {
     pmem::RemoveCheckpointFile(path);
@@ -338,7 +331,7 @@ TEST(CompactionCrashTest, CrashSweepAtEveryCompactionPoint) {
        {"hybrid_compact_after_reserve", "hybrid_compact_after_copy",
         "hybrid_compact_after_publish", "hybrid_compact_after_retire"}) {
     SCOPED_TRACE(point);
-    InjectionCleanup cleanup;
+    test::InjectionCleanup cleanup;
     test::TempPoolFile file("compact_crash");
     auto pool = test::CreatePool(file);
     ASSERT_NE(pool, nullptr);

@@ -3,8 +3,12 @@
 // This explores many distinct persistent-state snapshots (different
 // segments mid-split, different records mid-displacement) and checks the
 // global recovery contract after each: no committed record lost, no
-// duplicates, table fully operational.
+// duplicates, structure verified, table fully operational. Torn writes
+// are armed: at the crash, each line not flushed and fenced keeps its
+// contents with probability 0.5 (a seeded eviction subset) and otherwise
+// reverts to its last durable image.
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "dash/dash_eh.h"
 #include "dash/dash_lh.h"
 #include "pmem/crash_point.h"
+#include "pmem/flush_tracker.h"
 #include "test_util.h"
 #include "util/rand.h"
 
@@ -24,6 +29,16 @@ struct FuzzCase {
   uint64_t skip;  // crash at the (skip+1)-th hit
 };
 
+constexpr double kKeepProbability = 0.5;
+// Room for either workload several times over; torn-write tracking
+// shadows the whole pool, so it stays small.
+constexpr size_t kPoolSize = 64ull << 20;
+
+// The eviction subset's seed: one per case, so every case is reproducible.
+uint64_t SeedOf(const FuzzCase& c) {
+  return std::hash<std::string>{}(c.point) ^ c.skip;
+}
+
 std::string CaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
   return std::string(info.param.point) + "_skip" +
          std::to_string(info.param.skip);
@@ -34,7 +49,7 @@ class EhCrashFuzz : public ::testing::TestWithParam<FuzzCase> {};
 TEST_P(EhCrashFuzz, RecoveryContractHolds) {
   const FuzzCase& c = GetParam();
   test::TempPoolFile file(std::string("fuzz_eh_") + CaseName({c, 0}));
-  auto pool = test::CreatePool(file);
+  auto pool = test::CreatePool(file, kPoolSize);
   ASSERT_NE(pool, nullptr);
   epoch::EpochManager epochs;
   DashOptions opts;
@@ -42,6 +57,8 @@ TEST_P(EhCrashFuzz, RecoveryContractHolds) {
   opts.stash_buckets = 2;
   auto table = std::make_unique<DashEH<>>(pool.get(), &epochs, opts);
 
+  test::InjectionCleanup cleanup;
+  ASSERT_TRUE(pmem::TornWriteArm());
   ASSERT_TRUE(pmem::CrashPointArm(c.point, c.skip));
   uint64_t crashed_key = 0;
   for (uint64_t k = 1; k <= 60000 && crashed_key == 0; ++k) {
@@ -53,10 +70,12 @@ TEST_P(EhCrashFuzz, RecoveryContractHolds) {
   }
   pmem::CrashPointDisarm();
   if (crashed_key == 0) {
+    pmem::TornWriteDisarm();
     GTEST_SKIP() << "crash point " << c.point << " not reached " << c.skip + 1
                  << " times in this workload";
   }
 
+  pmem::TornWriteRevert(kKeepProbability, SeedOf(c));
   epochs.DiscardAll();
   table.reset();
   pool->CloseDirty();
@@ -75,6 +94,8 @@ TEST_P(EhCrashFuzz, RecoveryContractHolds) {
   uint64_t found = crashed_key - 1;
   if (table->Search(crashed_key, &value) == OpStatus::kOk) ++found;
   EXPECT_EQ(table->Size(), found);
+  // The searches recovered every segment, so the check is now strict.
+  EXPECT_TRUE(table->VerifyStructure());
   // Fully operational afterwards.
   for (uint64_t k = crashed_key + 1; k <= crashed_key + 2000; ++k) {
     ASSERT_EQ(table->Insert(k, k), OpStatus::kOk);
@@ -104,7 +125,7 @@ class LhCrashFuzz : public ::testing::TestWithParam<FuzzCase> {};
 TEST_P(LhCrashFuzz, RecoveryContractHolds) {
   const FuzzCase& c = GetParam();
   test::TempPoolFile file(std::string("fuzz_lh_") + CaseName({c, 0}));
-  auto pool = test::CreatePool(file);
+  auto pool = test::CreatePool(file, kPoolSize);
   ASSERT_NE(pool, nullptr);
   epoch::EpochManager epochs;
   DashOptions opts;
@@ -114,6 +135,8 @@ TEST_P(LhCrashFuzz, RecoveryContractHolds) {
   opts.lh_stride = 2;
   auto table = std::make_unique<DashLH<>>(pool.get(), &epochs, opts);
 
+  test::InjectionCleanup cleanup;
+  ASSERT_TRUE(pmem::TornWriteArm());
   ASSERT_TRUE(pmem::CrashPointArm(c.point, c.skip));
   uint64_t crashed_key = 0;
   for (uint64_t k = 1; k <= 80000 && crashed_key == 0; ++k) {
@@ -125,9 +148,11 @@ TEST_P(LhCrashFuzz, RecoveryContractHolds) {
   }
   pmem::CrashPointDisarm();
   if (crashed_key == 0) {
+    pmem::TornWriteDisarm();
     GTEST_SKIP() << "crash point not reached often enough";
   }
 
+  pmem::TornWriteRevert(kKeepProbability, SeedOf(c));
   epochs.DiscardAll();
   table.reset();
   pool->CloseDirty();
@@ -144,6 +169,7 @@ TEST_P(LhCrashFuzz, RecoveryContractHolds) {
   uint64_t found = crashed_key - 1;
   if (table->Search(crashed_key, &value) == OpStatus::kOk) ++found;
   EXPECT_EQ(table->Size(), found);
+  EXPECT_TRUE(table->VerifyStructure());
   for (uint64_t k = crashed_key + 1; k <= crashed_key + 2000; ++k) {
     ASSERT_EQ(table->Insert(k, k), OpStatus::kOk);
   }

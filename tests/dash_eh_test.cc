@@ -225,6 +225,21 @@ TEST_F(DashEhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   pool->CloseClean();
 }
 
+// A split puts each moved record in its target bucket of the new segment
+// while that bucket has room, so most positive searches read one bucket's
+// metadata line and then the record (test::kMaxReadsPerPositiveSearch).
+TEST_F(DashEhTest, PositiveSearchesAfterSplitsReadMostlyOneBucket) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; k <= 40000; ++k) {
+    ASSERT_EQ(table_->Insert(k, k), OpStatus::kOk) << "key " << k;
+    keys.push_back(k);
+  }
+  ASSERT_GT(table_->Stats().segments, 100u) << "the table must have split";
+  const double reads = test::ReadsPerPositiveSearch(*table_, keys);
+  ASSERT_GE(reads, 0) << "a key was lost";
+  EXPECT_LE(reads, test::kMaxReadsPerPositiveSearch);
+}
+
 TEST_F(DashEhTest, SplitPreservesAllRecords) {
   // Fill one segment's worth, split repeatedly, verify no record is lost.
   std::set<uint64_t> keys;

@@ -136,6 +136,21 @@ TEST_F(DashLhTest, SplitOfFullSegmentStaysWithinFlushBudget) {
   pool->CloseClean();
 }
 
+// A split puts each moved record in its target bucket of the buddy
+// while that bucket has room, so most positive searches read one bucket's
+// metadata line and then the record (test::kMaxReadsPerPositiveSearch).
+TEST_F(DashLhTest, PositiveSearchesAfterSplitsReadMostlyOneBucket) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; k <= 40000; ++k) {
+    ASSERT_EQ(table_->Insert(k, k), OpStatus::kOk) << "key " << k;
+    keys.push_back(k);
+  }
+  ASSERT_GT(table_->Stats().segments, 100u) << "the table must have split";
+  const double reads = test::ReadsPerPositiveSearch(*table_, keys);
+  ASSERT_GE(reads, 0) << "a key was lost";
+  EXPECT_LE(reads, test::kMaxReadsPerPositiveSearch);
+}
+
 // After a crash, a segment no operation has touched yet still carries the
 // lock words its last persisted metadata lines held. An expansion must
 // recover the segment at Next before it locks it.

@@ -261,20 +261,13 @@ TEST(HybridRecoveryTest, VarKeyRebuildAfterDirtyClose) {
   pool->CloseClean();
 }
 
-struct InjectionCleanup {
-  ~InjectionCleanup() {
-    pmem::CrashPointDisarm();
-    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
-  }
-};
-
 // Crash inside the reclamation callback chain (after the superseded
 // record was zeroed, before its tombstone was). Reclamation only ever
 // destroys already-superseded records, so the logical contents must
 // come back exactly — at worst the crash leaks a slot until the next
 // rebuild GC.
 TEST(HybridCrashTest, CrashMidReclaimPreservesLogicalState) {
-  InjectionCleanup cleanup;
+  test::InjectionCleanup cleanup;
   test::TempPoolFile file("hybrid_crash_reclaim");
   auto pool = test::CreatePool(file);
   ASSERT_NE(pool, nullptr);
@@ -345,7 +338,7 @@ TEST(HybridCrashTest, CrashMidRebuildIsIdempotent) {
   for (const char* point :
        {"hybrid_rebuild_after_scan", "hybrid_rebuild_after_gc"}) {
     SCOPED_TRACE(point);
-    InjectionCleanup cleanup;
+    test::InjectionCleanup cleanup;
     test::TempPoolFile file("hybrid_crash_rebuild");
     auto pool = test::CreatePool(file);
     ASSERT_NE(pool, nullptr);

@@ -67,16 +67,9 @@ struct VarKeys {
   }
 };
 
-struct InjectionCleanup {
-  ~InjectionCleanup() {
-    pmem::CrashPointDisarm();
-    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
-  }
-};
-
 template <typename Keys>
 void RunMoveCrash(uint64_t skip) {
-  InjectionCleanup cleanup;
+  test::InjectionCleanup cleanup;
   test::TempPoolFile file("level_move");
   auto pool = test::CreatePool(file, kPoolSize);
   ASSERT_NE(pool, nullptr);

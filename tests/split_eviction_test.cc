@@ -61,13 +61,6 @@ constexpr uint64_t kSkips[] = {0, 1, 3, 7, 15, 31, 47};
 
 uint64_t ValueOf(uint64_t key) { return key * 31 + 7; }
 
-struct InjectionCleanup {
-  ~InjectionCleanup() {
-    pmem::CrashPointDisarm();
-    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
-  }
-};
-
 template <typename Table>
 std::vector<std::string> DiscoverSplitPoints() {
   test::TempPoolFile file("evict_trace");
@@ -98,7 +91,7 @@ std::vector<std::string> DiscoverSplitPoints() {
 
 template <typename Table>
 void RunEvictionCase(const std::string& point, uint64_t skip, uint64_t seed) {
-  InjectionCleanup cleanup;
+  test::InjectionCleanup cleanup;
   test::TempPoolFile file("evict");
   auto pool = test::CreatePool(file, kPoolSize);
   ASSERT_NE(pool, nullptr);
@@ -144,6 +137,8 @@ void RunEvictionCase(const std::string& point, uint64_t skip, uint64_t seed) {
   if (in_flight == OpStatus::kOk) {
     ASSERT_EQ(value, ValueOf(crashed_at));
   }
+  // The searches recovered every segment, so the check is now strict.
+  ASSERT_TRUE(table->VerifyStructure());
   const uint64_t present = in_flight == OpStatus::kOk ? crashed_at
                                                       : crashed_at - 1;
   ASSERT_EQ(table->Stats().records, present)
@@ -196,7 +191,7 @@ void SweepSplitPoints(const char* kind) {
 // split_after_fill with each unflushed line kept with probability p. The
 // table must hold exactly the inserted keys either way.
 void RunRecycledSplitCase(bool crash, uint64_t seed) {
-  InjectionCleanup cleanup;
+  test::InjectionCleanup cleanup;
   test::TempPoolFile file("evict_recycled");
   auto pool = test::CreatePool(file, kPoolSize);
   ASSERT_NE(pool, nullptr);
@@ -298,10 +293,92 @@ void RunRecycledSplitCase(bool crash, uint64_t seed) {
   }
   // The searches rolled an interrupted split forward into the block.
   ASSERT_TRUE(in_directory(pool->FromOffset<Segment>(recycled_off)));
+  ASSERT_TRUE(table->VerifyStructure());
   ASSERT_EQ(table->Stats().records, expected)
       << "stale records of the recycled block became visible";
   table->CloseClean();
   pool->CloseClean();
+}
+
+// Recovery refills an interrupted split's new segment through the split's
+// own placement, so the records it moves land in their target buckets
+// too. Crash at split_after_fill once the table has grown, keep each
+// unflushed line with probability p, reopen, and search every committed
+// key: the keys of the refilled segment must cost no more PM reads per
+// search than a table grown without a crash allows.
+void RunRefillPlacementCase(uint64_t seed) {
+  test::InjectionCleanup cleanup;
+  test::TempPoolFile file("evict_refill");
+  auto pool = test::CreatePool(file, kPoolSize);
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs;
+  auto table =
+      std::make_unique<DashEH<>>(pool.get(), &epochs, SmallTableOptions());
+
+  ASSERT_TRUE(pmem::TornWriteArm());
+  ASSERT_TRUE(pmem::CrashPointArm("split_after_fill", 47));
+  uint64_t crashed_at = 0;
+  for (uint64_t k = 1; k <= kWorkloadKeys && crashed_at == 0; ++k) {
+    try {
+      ASSERT_EQ(table->Insert(k, ValueOf(k)), OpStatus::kOk) << "key " << k;
+    } catch (const pmem::CrashInjected&) {
+      crashed_at = k;
+    }
+  }
+  pmem::CrashPointDisarm();
+  ASSERT_NE(crashed_at, 0u);
+  pmem::TornWriteRevert(kKeepProbability, seed);
+  epochs.DiscardAll();
+  table.reset();
+  pool->CloseDirty();
+  pool.reset();
+
+  pool = pmem::PmPool::Open(file.path());
+  ASSERT_NE(pool, nullptr);
+  epoch::EpochManager epochs2;
+  table = std::make_unique<DashEH<>>(pool.get(), &epochs2, SmallTableOptions());
+  // The interrupted split: its source is still SPLITTING and its new
+  // segment NEW, because recovery is lazy.
+  Segment* child = nullptr;
+  table->ForEachSegment([&](Segment* seg) {
+    if (seg->state() == Segment::kSplitting) child = seg->side_link();
+  });
+  ASSERT_NE(child, nullptr);
+  ASSERT_EQ(child->state(), Segment::kNew) << "the fill was not durable yet";
+  // The check after open reads the table and recovers nothing, so a
+  // crash reopen stays constant work.
+  ASSERT_TRUE(table->VerifyStructure());
+  EXPECT_EQ(child->state(), Segment::kNew) << "the verify recovered the split";
+  const uint32_t shift = 64 - child->local_depth();
+  const uint64_t pattern = child->pattern();
+  std::vector<uint64_t> refilled;
+  for (uint64_t k = 1; k < crashed_at; ++k) {
+    if ((IntKeyPolicy::Hash(k) >> shift) == pattern) refilled.push_back(k);
+  }
+  ASSERT_GT(refilled.size(), 50u) << "the split must move records";
+
+  uint64_t value = 0;
+  for (uint64_t k = 1; k < crashed_at; ++k) {
+    ASSERT_EQ(table->Search(k, &value), OpStatus::kOk)
+        << "committed key " << k << " lost";
+    ASSERT_EQ(value, ValueOf(k)) << "key " << k << " corrupt";
+  }
+  ASSERT_TRUE(table->VerifyStructure());
+  ASSERT_EQ(child->state(), Segment::kClean);
+  const double reads = test::ReadsPerPositiveSearch(*table, refilled);
+  ASSERT_GE(reads, 0);
+  EXPECT_LE(reads, test::kMaxReadsPerPositiveSearch)
+      << refilled.size() << " records refilled";
+  table->CloseClean();
+  pool->CloseClean();
+}
+
+TEST(SplitEvictionTest, RefilledSplitDestinationKeepsTargetPlacement) {
+  for (uint64_t seed : kSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunRefillPlacementCase(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(SplitEvictionTest, SplitIntoRecycledBlockHoldsExactRecords) {

@@ -5,12 +5,18 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/sharded_store.h"
+#include "dash/op_status.h"
+#include "pmem/crash_point.h"
+#include "pmem/flush_tracker.h"
 #include "pmem/pool.h"
+#include "pmem/stats.h"
 
 namespace dash::test {
 
@@ -31,6 +37,15 @@ class TempPoolFile {
  private:
   static inline int counter_ = 0;
   std::string path_;
+};
+
+// Leaves no armed crash point or torn-write tracking behind when an
+// ASSERT bails out of a crash case mid-flight.
+struct InjectionCleanup {
+  ~InjectionCleanup() {
+    pmem::CrashPointDisarm();
+    if (pmem::TornWriteArmed()) pmem::TornWriteDisarm();
+  }
 };
 
 inline std::unique_ptr<pmem::PmPool> CreatePool(const TempPoolFile& file,
@@ -83,6 +98,29 @@ inline api::ShardedStoreOptions SmallStoreOptions(const std::string& prefix,
   options.shard_pool_size = 128ull << 20;
   options.table.buckets_per_segment = 16;
   return options;
+}
+
+// Bound on ReadsPerPositiveSearch over the keys of a Dash table with
+// 16 + 2 buckets per segment grown by splits. A search that finds its
+// record in the target bucket reads 2 lines (metadata, record), one in
+// the probing bucket 3. Splits that placed moved records with balanced
+// insert left 2.68 (Dash-EH) and 2.80 (Dash-LH) after 40000 inserts,
+// and 2.80 over the records one recovery refill moved; target placement
+// reads 2.30, 2.42 and 2.02.
+inline constexpr double kMaxReadsPerPositiveSearch = 2.55;
+
+// Mean PM read probes per search of `keys` in a Dash table, or -1 if a
+// key is missing. It resets the process-wide PM counters, so nothing else
+// may touch PM meanwhile.
+template <typename Table>
+double ReadsPerPositiveSearch(Table& table, const std::vector<uint64_t>& keys) {
+  pmem::ResetPmStats();
+  uint64_t value = 0;
+  for (uint64_t k : keys) {
+    if (table.Search(k, &value) != OpStatus::kOk) return -1;
+  }
+  return static_cast<double>(pmem::AggregatePmStats().read_probes) /
+         static_cast<double>(keys.size());
 }
 
 }  // namespace dash::test
