@@ -29,14 +29,11 @@
 // --shards=N (N >= 1) switches to the ShardedStore facade: the same key
 // stream runs once through single-op calls and once through mixed-op
 // MultiExecute descriptor batches that are scattered/regrouped per shard
-// (sequential caller-thread execution, the PR2 baseline).
-//
-// --shards=N --threads=K engages the async serving mode instead: K
-// submitter threads drive SubmitExecute against the per-shard worker
-// executor, each keeping --window=W batches in flight, and the same
-// mixed stream is measured on the sequential caller-thread path for
-// comparison. With --json-out=PATH the results (plus machine context) are
-// also appended to PATH as one JSON line.
+// (sequential caller-thread execution). A last row runs the same mixed
+// batches on a store with per-shard workers, where MultiExecute is the
+// sync wrapper (submit, then wait), and the summary line reports its
+// ratio to the sequential path. Served throughput over the network is
+// bench_serving's.
 //
 // --churn[=MULT] (default MULT=4) switches to the hybrid-tier log
 // compaction A/B instead: preload, live-set downsize to a sixteenth, then
@@ -350,7 +347,7 @@ int RunWorkloadMode(const std::string& workload,
     if (!only_table.empty() && only_table != name) continue;
     DashOptions options;
     TableHandle handle = MakeTable(kind, config, options);
-    Preload(handle.table.get(), preload, /*threads=*/1);
+    Preload(handle.table.get(), preload);
     api::KvIndex* table = handle.table.get();
     // One zeta computation (O(preload) pow calls) outside every timed
     // region; the per-thread generators derive from it.
@@ -476,133 +473,6 @@ PhaseResult ShardedBatchMixedPhase(api::ShardedStore* store,
           i += n;
         }
       });
-}
-
-// ---- async serving mode (per-shard workers + windowed submission) ----
-
-// K submitter threads drive mixed descriptor batches through
-// SubmitExecute, each keeping `window` futures in flight so the shard
-// queues stay busy; per-shard FIFO makes the overlap safe.
-PhaseResult AsyncMixedPhase(api::ShardedStore* store, uint64_t preloaded,
-                            uint64_t insert_base, uint64_t ops, size_t batch,
-                            int clients, size_t window) {
-  return RunParallel(
-      clients, ops,
-      [store, preloaded, insert_base, batch, window](int, uint64_t begin,
-                                                     uint64_t end) {
-        struct Slot {
-          api::Op ops[kMaxBatch];
-          api::Status statuses[kMaxBatch];
-          api::BatchFuture future;
-          size_t n = 0;
-        };
-        std::vector<Slot> slots(window);
-        size_t w = 0;
-        uint64_t i = begin;
-        while (i < end) {
-          Slot& slot = slots[w++ % window];
-          if (slot.future.valid()) slot.future.Wait();
-          slot.n = std::min<uint64_t>(batch, end - i);
-          for (size_t j = 0; j < slot.n; ++j) {
-            slot.ops[j] = MixedOp(i + j, preloaded, insert_base);
-          }
-          slot.future =
-              store->SubmitExecute(slot.ops, slot.n, slot.statuses);
-          i += slot.n;
-        }
-        for (Slot& slot : slots) {
-          if (slot.future.valid()) slot.future.Wait();
-        }
-      });
-}
-
-// Sequential baseline vs per-shard-worker async submission on identical
-// mixed streams, reported to stdout and, when `json_path` is not empty,
-// appended to it.
-int RunAsyncServingMode(api::IndexKind kind, size_t shards, int clients,
-                        size_t batch, size_t window, uint64_t preload,
-                        uint64_t ops, const BenchConfig& config,
-                        const std::string& json_path) {
-  const std::string name =
-      std::string(api::IndexKindName(kind)) + "-x" + std::to_string(shards);
-  DashOptions options;
-  const uint64_t mixed_ops = std::min<uint64_t>(ops, preload * 2);
-
-  // Baseline: the PR2 facade — every shard sub-batch executes
-  // sequentially on the single caller thread.
-  PhaseResult seq;
-  {
-    api::AsyncOptions sequential;
-    sequential.workers = false;
-    StoreHandle handle =
-        MakeShardedStore(kind, shards, config, options, sequential);
-    ShardedPreload(handle.store.get(), preload);
-    seq = ShardedBatchMixedPhase(handle.store.get(), preload, preload,
-                                 mixed_ops, batch);
-    PrintRow("bench_batch", name, "mixed-seq", 1, seq);
-    PrintJson(name, "mixed", "sequential", batch, seq, shards);
-  }
-
-  // Sync wrapper on the executor path (1 client, submit+wait per batch):
-  // isolates the queue hand-off cost from the parallelism win. Runs on
-  // its own store so its inserts do not skew the async phase below.
-  PhaseResult wrapper;
-  {
-    StoreHandle handle = MakeShardedStore(kind, shards, config, options);
-    ShardedPreload(handle.store.get(), preload);
-    wrapper = ShardedBatchMixedPhase(handle.store.get(), preload, preload,
-                                     mixed_ops, batch);
-    PrintRow("bench_batch", name, "mixed-wrapper", 1, wrapper);
-    PrintJson(name, "mixed", "sync-wrapper", batch, wrapper, shards);
-  }
-
-  // Async: per-shard workers; K clients submit with a window of futures.
-  // Fresh store preloaded identically to the sequential baseline, so the
-  // headline speedup compares identical store states.
-  PhaseResult async;
-  {
-    StoreHandle handle = MakeShardedStore(kind, shards, config, options);
-    ShardedPreload(handle.store.get(), preload);
-    async = AsyncMixedPhase(handle.store.get(), preload, preload,
-                            mixed_ops, batch, clients, window);
-    PrintRow("bench_batch", name, "mixed-async", clients, async);
-    std::printf(
-        "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"op\":\"mixed\","
-        "\"mode\":\"async\",\"batch\":%zu,\"threads\":%d,\"shards\":%zu,"
-        "\"window\":%zu,\"mops\":%.4f}\n",
-        name.c_str(), batch, clients, shards, window, async.mops);
-  }
-
-  const double speedup = async.mops / seq.mops;
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::printf(
-      "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"shards\":%zu,"
-      "\"clients\":%d,\"batch\":%zu,\"async_speedup_vs_sequential\":%.3f}"
-      "\n",
-      name.c_str(), shards, clients, batch, speedup);
-  std::fflush(stdout);
-  if (json_path.empty()) return 0;
-
-  std::FILE* out = std::fopen(json_path.c_str(), "a");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(
-      out,
-      "{\"bench\":\"bench_batch_async\",\"table\":\"%s\",\"shards\":%zu,"
-      "\"clients\":%d,\"batch\":%zu,\"window\":%zu,\"hw_threads\":%u,"
-      "\"preload\":%llu,\"ops\":%llu,\"seq_mops\":%.4f,"
-      "\"sync_wrapper_mops\":%.4f,\"async_mops\":%.4f,"
-      "\"async_speedup_vs_sequential\":%.3f}\n",
-      api::IndexKindName(kind), shards, clients, batch, window, hw_threads,
-      static_cast<unsigned long long>(preload),
-      static_cast<unsigned long long>(mixed_ops), seq.mops, wrapper.mops,
-      async.mops, speedup);
-  std::fclose(out);
-  std::printf("# async serving results appended to %s\n",
-              json_path.c_str());
-  return 0;
 }
 
 // ---- sustained-churn mode (--churn[=MULT]) ----
@@ -836,10 +706,7 @@ int main(int argc, char** argv) {
   uint64_t ops = 2'000'000;
   size_t batch = 16;
   size_t shards = 0;
-  size_t window = 4;
-  bool has_threads_flag = false;
   std::string only_table;
-  std::string json_out;  // --json-out: async-mode results file, if any
   std::string workload_arg;
   uint64_t churn_mult = 0;  // 0 = churn mode off
   double check_speedup = 0.0;
@@ -854,13 +721,6 @@ int main(int argc, char** argv) {
                                  kMaxBatch);
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = std::strtoull(argv[i] + 9, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      has_threads_flag = true;  // value parsed by ParseArgs
-    } else if (std::strncmp(argv[i], "--window=", 9) == 0) {
-      window = std::clamp<size_t>(std::strtoull(argv[i] + 9, nullptr, 10),
-                                  1, 64);
-    } else if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--table=", 8) == 0) {
       only_table = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--kind=", 7) == 0) {
@@ -903,13 +763,13 @@ int main(int argc, char** argv) {
   if (check_speedup > 0 && shards > 0) {
     std::fprintf(stderr,
                  "--check-speedup only applies to the per-table A/B mode; "
-                 "drop --shards/--threads\n");
+                 "drop --shards\n");
     return 1;
   }
   if (!check_vs_arg.empty() && (shards > 0 || !workload_arg.empty())) {
     std::fprintf(stderr,
                  "--check-vs only applies to the per-table A/B mode; "
-                 "drop --shards/--threads/--workload\n");
+                 "drop --shards/--workload\n");
     return 1;
   }
   const uint64_t insert_ops = std::min<uint64_t>(ops / 2, preload);
@@ -932,26 +792,11 @@ int main(int argc, char** argv) {
     if (shards > 0) {
       std::fprintf(stderr,
                    "--workload applies to the per-table mode; drop "
-                   "--shards/--threads\n");
+                   "--shards\n");
       return 1;
     }
     return RunWorkloadMode(workload_arg, only_table, preload, ops, batch,
                            config);
-  }
-
-  // --shards=N --threads=K: the async serving mode (multi-client
-  // submission against the per-shard worker executor).
-  if (shards > 0 && has_threads_flag) {
-    api::IndexKind kind = api::IndexKind::kDashEH;
-    if (!only_table.empty() && !api::ParseIndexKind(only_table, &kind)) {
-      std::fprintf(stderr, "unknown table kind %s\n", only_table.c_str());
-      return 1;
-    }
-    const int clients = std::max(1, config.thread_counts.empty()
-                                        ? 1
-                                        : config.thread_counts.back());
-    return RunAsyncServingMode(kind, shards, clients, batch, window,
-                               preload, ops, config, json_out);
   }
 
   // --shards=N: the serving-path configuration — one ShardedStore, the
@@ -966,8 +811,7 @@ int main(int argc, char** argv) {
         std::string(api::IndexKindName(kind)) + "-x" + std::to_string(shards);
     DashOptions options;
     // Sequential caller-thread execution: this mode isolates the
-    // descriptor-batch path itself; the worker executor is measured by
-    // the --threads mode above.
+    // descriptor-batch path itself.
     api::AsyncOptions sequential;
     sequential.workers = false;
     StoreHandle handle =
@@ -993,12 +837,23 @@ int main(int argc, char** argv) {
     PrintRow("bench_batch", name, "mixed-batch", 1, batch_mixed);
     PrintJson(name, "mixed", "batch", batch, batch_mixed, shards);
 
+    // The same batches through the sync wrapper over per-shard workers,
+    // on a fresh store preloaded alike: the price of the queue hand-off.
+    StoreHandle workers = MakeShardedStore(kind, shards, config, options);
+    ShardedPreload(workers.store.get(), preload);
+    const PhaseResult wrapper = ShardedBatchMixedPhase(
+        workers.store.get(), preload, preload + mixed_ops, mixed_ops, batch);
+    PrintRow("bench_batch", name, "mixed-wrapper", 1, wrapper);
+    PrintJson(name, "mixed", "sync-wrapper", batch, wrapper, shards);
+
     std::printf(
         "{\"bench\":\"bench_batch\",\"table\":\"%s\",\"shards\":%zu,"
         "\"batch\":%zu,\"search_speedup_vs_single\":%.3f,"
-        "\"mixed_speedup_vs_single\":%.3f}\n",
+        "\"mixed_speedup_vs_single\":%.3f,"
+        "\"wrapper_vs_sequential\":%.3f}\n",
         name.c_str(), shards, batch, batch_search.mops / single_search.mops,
-        batch_mixed.mops / single_mixed.mops);
+        batch_mixed.mops / single_mixed.mops,
+        wrapper.mops / batch_mixed.mops);
     std::fflush(stdout);
     return 0;
   }
@@ -1023,7 +878,7 @@ int main(int argc, char** argv) {
     PhaseResult batch_search;
     {
       TableHandle handle = MakeTable(kind, config, options);
-      Preload(handle.table.get(), preload, /*threads=*/1);
+      Preload(handle.table.get(), preload);
       LockCounters lc0 = SnapshotLockCounters(handle.table.get());
       single_search =
           PositiveSearchPhase(handle.table.get(), preload, ops, 1);
@@ -1052,14 +907,14 @@ int main(int argc, char** argv) {
     PhaseResult batch_insert;
     {
       TableHandle handle = MakeTable(kind, config, options);
-      Preload(handle.table.get(), preload, /*threads=*/1);
+      Preload(handle.table.get(), preload);
       single_insert = InsertPhase(handle.table.get(), preload, insert_ops, 1);
       PrintRow("bench_batch", name, "insert-single", 1, single_insert);
       PrintJson(name, "insert", "single", 1, single_insert);
     }
     {
       TableHandle handle = MakeTable(kind, config, options);
-      Preload(handle.table.get(), preload, /*threads=*/1);
+      Preload(handle.table.get(), preload);
       util::AmacTelemetry::DrainAll();
       const LockCounters lc0 = SnapshotLockCounters(handle.table.get());
       batch_insert =
@@ -1094,7 +949,7 @@ int main(int argc, char** argv) {
     DashOptions options;
     TableHandle handle =
         MakeTable(api::IndexKind::kDashEH, config, options);
-    Preload(handle.table.get(), preload, /*threads=*/1);
+    Preload(handle.table.get(), preload);
     for (size_t b : {2, 4, 8, 16, 32, 64}) {
       const PhaseResult r =
           BatchSearchPhase(handle.table.get(), preload, ops, b);

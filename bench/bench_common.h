@@ -139,7 +139,9 @@ PhaseResult RunParallel(
 
 // Standard phases over a KvIndex with keys in [1, n] preloaded.
 // `key_base` offsets the key space (insert phases use fresh keys).
-void Preload(api::KvIndex* table, uint64_t n, int threads = 4);
+// Preload runs on one thread unless asked otherwise, so the table's
+// layout, and every PM counter measured on it, repeats run to run.
+void Preload(api::KvIndex* table, uint64_t n, int threads = 1);
 PhaseResult InsertPhase(api::KvIndex* table, uint64_t base, uint64_t n,
                         int threads);
 PhaseResult PositiveSearchPhase(api::KvIndex* table, uint64_t preloaded,

@@ -1,38 +1,27 @@
-// Closed-loop multi-client serving benchmark against KvServer.
+// Closed-loop serving benchmark over KvServer, on the end-to-end
+// benchmark's client loop (bench_suite/serving_load.h): the same seeded
+// keys, op streams, result check and latency histogram.
 //
-// Spins up an in-process ShardedStore + KvServer (UDS by default,
-// --transport=tcp for loopback TCP), preloads the key space, then drives
-// it with --clients closed-loop client threads. Each client keeps
-// --window request frames of --batch ops pipelined on its own
-// connection and measures per-request latency from the send() to the
-// matching response (correlated by request id, which arrives in
-// completion order). Results: one JSON line with aggregate Mops and
-// p50/p99/p999 request latency.
+// It serves an in-process ShardedStore (--kind, --shards) over UDS or
+// --transport=tcp, or drives a running server at --connect=<uds path |
+// host:port>. It preloads --preload seeded keys over the wire (kExists
+// counts as loaded, so a rerun works), warms up untimed, then measures
+// --duration with --clients callers, each keeping --window frames of
+// --batch ops in flight. --workload={a,b,c} is 50/95/100% searches, the
+// rest updates, over zipf 0.99 keys.
 //
-// --workload={a,b,c,d,f} picks the YCSB mix (same semantics as
-// bench_batch: a=50/50 read/update, b=95/5, c=100/0, d=95/5
-// read-latest/insert, f=50/50 read/RMW where an RMW is a Search+Update
-// pair in one frame — MultiExecute runs the read group first).
-//
-// Exit status is nonzero on any protocol error (dropped connection,
-// malformed response, unknown request id): the CI smoke job relies on
-// that plus the JSON line.
-//
-// Flags: --clients=N --shards=N --workload=X --batch=B --window=W
-//        --duration=Ns --preload=N --transport={uds,tcp} --kind=TABLE
-//        (in-process store's index kind, e.g. dash-eh or hybrid)
-//        --tenant-weights=a,b,... (round-robin across clients)
-//        --connect=<uds path | host:port> drives an external server
-//        (e.g. the kv_server example) instead of the in-process one;
-//        preload then happens over the wire.
+// A served op is answered kOk, and a search with a value written for its
+// key. `mops` counts served ops of the measured window; `failed` counts
+// every other answer (kUnavailable and kTimeout too), `wrong` those with
+// an unexpected status or value, warm-up included. One JSON line; exit
+// status 1 on a protocol error or a wrong result, 2 on a failed set-up.
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,410 +30,262 @@
 #include "bench_common.h"
 #include "net/kv_client.h"
 #include "net/kv_server.h"
-#include "util/rand.h"
+#include "serving_load.h"
 #include "util/zipf.h"
 
 namespace dash::bench {
 namespace {
 
-constexpr size_t kMaxBatch = 256;  // matches the adapter chunk size
+using bench_suite::Clock;
+using bench_suite::kMaxBatch;
+using Seconds = std::chrono::duration<double>;
 
-struct ServingConfig {
-  int clients = 4;
-  size_t shards = 4;
+constexpr uint64_t kSeed = 1;
+constexpr double kZipfTheta = 0.99;
+constexpr double kWarmupSeconds = 0.5;
+constexpr int kWarmupPhase = 0;
+constexpr int kMeasuredPhase = 1;
+
+struct Flags {
   std::string workload = "b";
+  size_t clients = 4;
+  size_t shards = 4;
   size_t batch = 16;
   int window = 4;
   double duration_s = 5.0;
   uint64_t preload = 200'000;
   std::string transport = "uds";
-  // Index kind for the in-process store (ignored with --connect).
-  std::string kind = "dash-eh";
-  // Nonempty: drive an external server instead of an in-process one.
-  // "host:port" means TCP, anything else is a UDS path.
-  std::string connect;
-  std::vector<uint32_t> tenant_weights = {1};
+  std::string kind = "dash-eh";  // in-process store only
+  std::string connect;           // nonempty: drive this server instead
 };
 
-// Resolved server address (in-process or --connect).
-struct Endpoint {
-  bool tcp = false;
-  std::string host;
-  uint16_t port = 0;
-  std::string uds_path;
-};
-
-bool ParseServingFlags(int argc, char** argv, ServingConfig* config) {
+bool ParseFlags(int argc, char** argv, Flags* flags,
+                bench_suite::Mix* mix) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* name) -> const char* {
       const size_t n = std::strlen(name);
       return arg.compare(0, n, name) == 0 ? arg.c_str() + n : nullptr;
     };
-    if (const char* v = value("--clients=")) {
-      config->clients = std::atoi(v);
+    if (const char* v = value("--workload=")) {
+      flags->workload = v;
+    } else if (const char* v = value("--clients=")) {
+      flags->clients = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--shards=")) {
-      config->shards = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--workload=")) {
-      config->workload = v;
+      flags->shards = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--batch=")) {
-      config->batch = static_cast<size_t>(std::atoll(v));
+      flags->batch = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--window=")) {
-      config->window = std::atoi(v);
+      flags->window = std::atoi(v);
     } else if (const char* v = value("--duration=")) {
-      config->duration_s = std::atof(v);  // trailing "s" ignored by atof
+      flags->duration_s = std::atof(v);  // trailing "s" ignored by atof
     } else if (const char* v = value("--preload=")) {
-      config->preload = static_cast<uint64_t>(std::atoll(v));
+      flags->preload = static_cast<uint64_t>(std::atoll(v));
     } else if (const char* v = value("--transport=")) {
-      config->transport = v;
+      flags->transport = v;
     } else if (const char* v = value("--kind=")) {
-      config->kind = v;
+      flags->kind = v;
     } else if (const char* v = value("--connect=")) {
-      config->connect = v;
-    } else if (const char* v = value("--tenant-weights=")) {
-      config->tenant_weights.clear();
-      for (const char* p = v; *p != '\0';) {
-        config->tenant_weights.push_back(
-            static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-        while (*p != '\0' && *p != ',') ++p;
-        if (*p == ',') ++p;
-      }
-      if (config->tenant_weights.empty()) {
-        config->tenant_weights = {1};
-      }
+      flags->connect = v;
     }
   }
-  if (config->clients < 1 || config->shards < 1 || config->batch < 1 ||
-      config->batch > kMaxBatch || config->window < 1 ||
-      config->duration_s <= 0 || config->preload < 1) {
+  if (flags->clients < 1 || flags->shards < 1 || flags->batch < 1 ||
+      flags->batch > kMaxBatch || flags->window < 1 ||
+      flags->duration_s <= 0 || flags->preload < 1) {
     std::fprintf(stderr, "bad serving flags\n");
     return false;
   }
-  if (config->transport != "uds" && config->transport != "tcp") {
+  if (flags->transport != "uds" && flags->transport != "tcp") {
     std::fprintf(stderr, "unknown --transport=%s (uds|tcp)\n",
-                 config->transport.c_str());
+                 flags->transport.c_str());
     return false;
   }
+  const std::string& w = flags->workload;
+  if (w != "a" && w != "b" && w != "c") {
+    std::fprintf(stderr, "unknown --workload=%s (a|b|c)\n", w.c_str());
+    return false;
+  }
+  mix->read_pct = w == "a" ? 50 : w == "b" ? 95 : 100;
+  mix->zipf_theta = kZipfTheta;
   return true;
 }
 
-// The per-client YCSB stream: mirrors bench_batch's workload semantics.
-struct Mix {
-  int read_pct = 50;
-  bool read_latest = false;
-  bool rmw = false;
-};
+// A server address: a UDS path, or "host:port" over TCP.
+struct Endpoint {
+  bool tcp = false;
+  std::string host = "127.0.0.1";
+  uint16_t port = 0;
+  std::string uds_path;
 
-bool ResolveMix(const std::string& workload, Mix* mix) {
-  if (workload == "a") {
-    mix->read_pct = 50;
-  } else if (workload == "b") {
-    mix->read_pct = 95;
-  } else if (workload == "c") {
-    mix->read_pct = 100;
-  } else if (workload == "d") {
-    mix->read_pct = 95;
-    mix->read_latest = true;
-  } else if (workload == "f") {
-    mix->read_pct = 50;
-    mix->rmw = true;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// Fills `ops` with up to `batch` descriptors of the mix (an RMW pair
-// counts two); returns the number written.
-size_t FillBatch(const Mix& mix, size_t batch, util::ZipfGenerator* zipf,
-                 util::Xoshiro256* rng, std::atomic<uint64_t>* max_key,
-                 api::Op* ops) {
-  size_t n = 0;
-  while (n < batch) {
-    const bool is_read =
-        rng->NextBounded(100) < static_cast<uint64_t>(mix.read_pct);
-    if (mix.read_latest) {
-      if (is_read) {
-        const uint64_t hi = max_key->load(std::memory_order_relaxed);
-        const uint64_t rank = zipf->Next();
-        ops[n++] = api::Op::Search(hi > rank ? hi - rank : 1);
-      } else {
-        const uint64_t key =
-            max_key->fetch_add(1, std::memory_order_relaxed) + 1;
-        ops[n++] = api::Op::Insert(key, key);
-      }
-      continue;
-    }
-    const uint64_t key = zipf->Next() + 1;
-    if (is_read) {
-      ops[n++] = api::Op::Search(key);
-    } else if (mix.rmw) {
-      if (n + 2 > batch) break;
-      ops[n++] = api::Op::Search(key);
-      ops[n++] = api::Op::Update(key, key + 1);
+  static Endpoint Parse(const std::string& address) {
+    Endpoint e;
+    const size_t colon = address.rfind(':');
+    if (colon != std::string::npos && address.find('/') == std::string::npos) {
+      e.tcp = true;
+      e.host = address.substr(0, colon);
+      e.port = static_cast<uint16_t>(std::atoi(address.c_str() + colon + 1));
     } else {
-      ops[n++] = api::Op::Update(key, key);
+      e.uds_path = address;
     }
+    return e;
   }
-  return n;
-}
 
-struct ClientResult {
-  uint64_t requests = 0;
-  uint64_t ops = 0;
-  uint64_t retry_responses = 0;
-  uint64_t protocol_errors = 0;
-  std::vector<uint64_t> latencies_us;
+  bool Connect(net::KvClient* client, uint64_t tenant,
+               std::string* error) const {
+    return tcp ? client->ConnectTcp(host, port, tenant, 1, error)
+               : client->ConnectUds(uds_path, tenant, 1, error);
+  }
 };
 
-// One closed-loop client: keeps `window` requests pipelined, stamps each
-// send, matches responses by id, records request latency.
-ClientResult RunClient(const ServingConfig& config, const Mix& mix,
-                       const Endpoint& endpoint, int client_id,
-                       const util::ZipfGenerator& zipf_proto,
-                       std::atomic<uint64_t>* max_key,
-                       const std::atomic<bool>& stop_flag) {
-  using Clock = std::chrono::steady_clock;
-  ClientResult result;
-  net::KvClient client;
-  const uint32_t weight =
-      config.tenant_weights[static_cast<size_t>(client_id) %
-                            config.tenant_weights.size()];
+// Inserts the seeded records [0, records) in kMaxBatch-op frames; false
+// unless every insert answers kOk or kExists.
+bool Preload(const Endpoint& endpoint, uint64_t records) {
+  net::KvClient loader;
   std::string error;
-  const bool connected =
-      endpoint.tcp ? client.ConnectTcp(endpoint.host, endpoint.port,
-                                       static_cast<uint64_t>(client_id),
-                                       weight, &error)
-                   : client.ConnectUds(endpoint.uds_path,
-                                       static_cast<uint64_t>(client_id),
-                                       weight, &error);
-  if (!connected) {
-    std::fprintf(stderr, "client %d connect failed: %s\n", client_id,
-                 error.c_str());
-    result.protocol_errors = 1;
-    return result;
+  if (!endpoint.Connect(&loader, 0, &error)) {
+    std::fprintf(stderr, "preload connect failed: %s\n", error.c_str());
+    return false;
   }
-
-  util::ZipfGenerator zipf(zipf_proto, 42 + client_id);
-  util::Xoshiro256 rng(1000 + static_cast<uint64_t>(client_id));
-  std::vector<api::Op> ops(config.batch);
-  std::map<uint64_t, Clock::time_point> in_flight;  // id -> send stamp
-  result.latencies_us.reserve(1 << 16);
-
-  const auto send_one = [&]() -> bool {
-    const size_t n = FillBatch(mix, config.batch, &zipf, &rng, max_key,
-                               ops.data());
-    uint64_t id = 0;
-    if (!client.Send(ops.data(), n, /*deadline_us=*/0, &id)) return false;
-    in_flight.emplace(id, Clock::now());
-    return true;
-  };
-  const auto receive_one = [&]() -> bool {
-    net::ClientResponse response;
-    if (!client.Receive(&response)) return false;
-    const auto now = Clock::now();
-    const auto it = in_flight.find(response.request_id);
-    if (it == in_flight.end()) return false;  // unknown id
-    result.latencies_us.push_back(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                              it->second)
-            .count()));
-    in_flight.erase(it);
-    ++result.requests;
-    result.ops += response.statuses.size();
-    if (response.retry_after_us != 0) ++result.retry_responses;
-    return true;
-  };
-
-  // Closed loop until the timer thread raises the stop flag.
-  while (!stop_flag.load(std::memory_order_acquire)) {
-    while (in_flight.size() < static_cast<size_t>(config.window)) {
-      if (!send_one()) {
-        ++result.protocol_errors;
-        return result;
+  std::array<api::Op, kMaxBatch> ops;
+  net::ClientResponse response;
+  for (uint64_t at = 0; at < records;) {
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(kMaxBatch, records - at));
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = bench_suite::KeyOf(kSeed, at + i);
+      ops[i] = api::Op::Insert(key, bench_suite::ValueFor(key, 0));
+    }
+    if (!loader.Execute(ops.data(), n, /*deadline_us=*/0, &response)) {
+      std::fprintf(stderr, "preload failed at record %llu\n",
+                   static_cast<unsigned long long>(at));
+      return false;
+    }
+    for (const api::Status status : response.statuses) {
+      if (status != api::Status::kOk && status != api::Status::kExists) {
+        std::fprintf(stderr, "preload insert answered %s\n",
+                     api::StatusName(status));
+        return false;
       }
     }
-    if (!receive_one()) {
-      ++result.protocol_errors;
-      return result;
-    }
+    at += n;
   }
-  // Drain what is still pipelined so the server sees a clean close.
-  while (!in_flight.empty()) {
-    if (!receive_one()) {
-      ++result.protocol_errors;
-      break;
-    }
-  }
-  return result;
-}
-
-uint64_t Percentile(const std::vector<uint64_t>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  return sorted[static_cast<size_t>(rank + 0.5)];
+  return true;
 }
 
 int Run(int argc, char** argv) {
-  ServingConfig config;
-  if (!ParseServingFlags(argc, argv, &config)) return 2;
-  Mix mix;
-  if (!ResolveMix(config.workload, &mix)) {
-    std::fprintf(stderr, "unknown --workload=%s (a|b|c|d|f)\n",
-                 config.workload.c_str());
-    return 2;
-  }
+  Flags flags;
+  bench_suite::Mix mix;
+  if (!ParseFlags(argc, argv, &flags, &mix)) return 2;
 
-  Endpoint endpoint;
   StoreHandle handle;
   std::unique_ptr<net::KvServer> server;
-  if (config.connect.empty()) {
-    // In-process store + server. Bounded submit backoff so saturation
-    // surfaces as retry-after responses instead of a blocked event loop.
-    BenchConfig bench_config = ParseArgs(argc, argv);
-    api::AsyncOptions async;
-    async.workers = true;
-    async.inline_single_shard = false;
-    async.submit_retries = 8;
+  Endpoint endpoint;
+  std::string error;
+  if (flags.connect.empty()) {
     api::IndexKind kind = api::IndexKind::kDashEH;
-    if (!api::ParseIndexKind(config.kind, &kind)) {
-      std::fprintf(stderr, "unknown --kind=%s\n", config.kind.c_str());
+    if (!api::ParseIndexKind(flags.kind, &kind)) {
+      std::fprintf(stderr, "unknown --kind=%s\n", flags.kind.c_str());
       return 2;
     }
-    handle = MakeShardedStore(kind, config.shards, bench_config,
+    // Bounded submit backoff, as in the kv_server example: saturation
+    // surfaces as kUnavailable answers instead of a blocked event loop.
+    api::AsyncOptions async;
+    async.inline_single_shard = false;
+    async.submit_retries = 8;
+    handle = MakeShardedStore(kind, flags.shards, ParseArgs(argc, argv),
                               DashOptions{}, async);
     if (handle.store == nullptr) {
       std::fprintf(stderr, "store open failed\n");
       return 2;
     }
     net::ServerOptions server_options;
-    if (config.transport == "tcp") {
-      server_options.tcp = true;
-    } else {
-      server_options.uds_path = handle.prefix + ".sock";
-    }
+    server_options.tcp = flags.transport == "tcp";
+    if (!server_options.tcp) server_options.uds_path = handle.prefix + ".sock";
     server = std::make_unique<net::KvServer>(handle.store.get(),
                                              server_options);
-    std::string error;
     if (!server->Start(&error)) {
       std::fprintf(stderr, "server start failed: %s\n", error.c_str());
       return 2;
     }
-    endpoint.tcp = config.transport == "tcp";
-    endpoint.host = "127.0.0.1";
+    endpoint.tcp = server_options.tcp;
     endpoint.port = server->tcp_port();
     endpoint.uds_path = server->uds_path();
-    for (uint64_t i = 0; i < config.preload; ++i) {
-      handle.store->Insert(i + 1, i + 1);
-    }
   } else {
-    // External server: "host:port" is TCP, anything else a UDS path.
-    const size_t colon = config.connect.rfind(':');
-    if (colon != std::string::npos &&
-        config.connect.find('/') == std::string::npos) {
-      endpoint.tcp = true;
-      endpoint.host = config.connect.substr(0, colon);
-      endpoint.port = static_cast<uint16_t>(
-          std::atoi(config.connect.c_str() + colon + 1));
-    } else {
-      endpoint.uds_path = config.connect;
-    }
-    // Preload over the wire in kMaxBatch-op frames.
-    net::KvClient loader;
-    std::string error;
-    const bool ok =
-        endpoint.tcp
-            ? loader.ConnectTcp(endpoint.host, endpoint.port, 0, 1, &error)
-            : loader.ConnectUds(endpoint.uds_path, 0, 1, &error);
-    if (!ok) {
-      std::fprintf(stderr, "preload connect failed: %s\n", error.c_str());
+    endpoint = Endpoint::Parse(flags.connect);
+  }
+  if (!Preload(endpoint, flags.preload)) return 2;
+
+  const util::ZipfGenerator zipf(flags.preload, kZipfTheta, kSeed);
+  bench_suite::FreshKeys fresh;  // the mixes insert no fresh keys
+  std::vector<std::unique_ptr<net::KvClient>> clients;
+  std::vector<std::unique_ptr<bench_suite::OpStream>> streams;
+  std::vector<std::unique_ptr<bench_suite::ClientLog>> logs;
+  for (size_t c = 0; c < flags.clients; ++c) {
+    clients.push_back(std::make_unique<net::KvClient>());
+    if (!endpoint.Connect(clients.back().get(), c, &error)) {
+      std::fprintf(stderr, "client %zu connect failed: %s\n", c,
+                   error.c_str());
       return 2;
     }
-    std::vector<api::Op> load_ops(kMaxBatch);
-    for (uint64_t at = 0; at < config.preload;) {
-      const size_t n = std::min<uint64_t>(kMaxBatch, config.preload - at);
-      for (size_t i = 0; i < n; ++i) {
-        load_ops[i] = api::Op::Insert(at + i + 1, at + i + 1);
-      }
-      net::ClientResponse response;
-      if (!loader.Execute(load_ops.data(), n, 0, &response)) {
-        std::fprintf(stderr, "preload failed at key %llu\n",
-                     static_cast<unsigned long long>(at));
-        return 2;
-      }
-      at += n;
+    streams.push_back(std::make_unique<bench_suite::OpStream>(
+        mix, kSeed, c, flags.preload, &zipf, &fresh));
+    logs.push_back(std::make_unique<bench_suite::ClientLog>(0, 0));
+  }
+
+  bench_suite::PhaseControl control;  // starts in kWarmupPhase
+  double seconds = 0.0;
+  {
+    const Clock::time_point origin = Clock::now();
+    std::vector<std::jthread> threads;
+    for (size_t c = 0; c < flags.clients; ++c) {
+      threads.emplace_back([&, c] {
+        bench_suite::RunClient(clients[c].get(), streams[c].get(),
+                               flags.batch, flags.window, control, c, origin,
+                               logs[c].get());
+      });
     }
+    std::this_thread::sleep_for(Seconds(kWarmupSeconds));
+    const Clock::time_point t0 = Clock::now();
+    control.phase.store(kMeasuredPhase, std::memory_order_release);
+    std::this_thread::sleep_for(Seconds(flags.duration_s));
+    seconds = Seconds(Clock::now() - t0).count();
+    control.phase.store(bench_suite::kStopPhase, std::memory_order_release);
   }
-  const util::ZipfGenerator zipf_proto(config.preload, 0.99, 0);
-  std::atomic<uint64_t> max_key{config.preload};
-  std::atomic<bool> stop_flag{false};
 
-  std::vector<ClientResult> results(
-      static_cast<size_t>(config.clients));
-  std::vector<std::thread> threads;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int c = 0; c < config.clients; ++c) {
-    threads.emplace_back([&, c] {
-      results[static_cast<size_t>(c)] =
-          RunClient(config, mix, endpoint, c, zipf_proto, &max_key,
-                    stop_flag);
-    });
+  bench_suite::LegStats measured;
+  bench_suite::OpTally checked;
+  uint64_t protocol_errors = 0;
+  for (const auto& log : logs) {
+    measured.Merge(log->phases[kMeasuredPhase]);
+    checked.Merge(log->phases[kWarmupPhase].ops);
+    checked.Merge(log->phases[kMeasuredPhase].ops);
+    protocol_errors += log->protocol_error ? 1 : 0;
   }
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(config.duration_s));
-  stop_flag.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  uint64_t requests = 0, total_ops = 0, retries = 0, errors = 0;
-  std::vector<uint64_t> latencies;
-  for (const ClientResult& r : results) {
-    requests += r.requests;
-    total_ops += r.ops;
-    retries += r.retry_responses;
-    errors += r.protocol_errors;
-    latencies.insert(latencies.end(), r.latencies_us.begin(),
-                     r.latencies_us.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const double mops =
-      static_cast<double>(total_ops) / elapsed / 1e6;
-  const net::ServerStats server_stats =
-      server != nullptr ? server->stats() : net::ServerStats{};
-
-  const std::string transport =
-      config.connect.empty() ? config.transport
-                             : (endpoint.tcp ? "tcp" : "uds");
+  const auto us = [&measured](double q) {
+    return measured.request_ns.Quantile(q) / 1e3;
+  };
   std::printf(
       "{\"bench\":\"bench_serving\",\"workload\":\"%s\",\"kind\":\"%s\","
-      "\"transport\":\"%s\",\"clients\":%d,\"shards\":%zu,\"batch\":%zu,"
-      "\"window\":%d,\"duration_s\":%.2f,\"requests\":%llu,"
-      "\"ops\":%llu,\"mops\":%.4f,\"p50_us\":%llu,\"p99_us\":%llu,"
-      "\"p999_us\":%llu,\"retry_responses\":%llu,"
-      "\"protocol_errors\":%llu,\"server\":{\"requests\":%llu,"
-      "\"responses\":%llu,\"bad_frames\":%llu,\"pipeline_rejects\":%llu}"
-      "}\n",
-      config.workload.c_str(),
-      config.connect.empty() ? config.kind.c_str() : "external",
-      transport.c_str(), config.clients,
-      config.shards, config.batch, config.window, elapsed,
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(total_ops), mops,
-      static_cast<unsigned long long>(Percentile(latencies, 0.50)),
-      static_cast<unsigned long long>(Percentile(latencies, 0.99)),
-      static_cast<unsigned long long>(Percentile(latencies, 0.999)),
-      static_cast<unsigned long long>(retries),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(server_stats.requests),
-      static_cast<unsigned long long>(server_stats.responses),
-      static_cast<unsigned long long>(server_stats.frames_bad),
-      static_cast<unsigned long long>(server_stats.pipeline_rejects));
+      "\"transport\":\"%s\",\"clients\":%zu,\"shards\":%zu,\"batch\":%zu,"
+      "\"window\":%d,\"preload\":%llu,\"duration_s\":%.2f,"
+      "\"requests\":%llu,\"ops\":%llu,\"mops\":%.4f,\"failed\":%llu,"
+      "\"wrong\":%llu,\"protocol_errors\":%llu,\"retry_responses\":%llu,"
+      "\"p50_us\":%.1f,\"p99_us\":%.1f,\"p999_us\":%.1f}\n",
+      flags.workload.c_str(),
+      flags.connect.empty() ? flags.kind.c_str() : "external",
+      endpoint.tcp ? "tcp" : "uds", flags.clients, flags.shards,
+      flags.batch, flags.window,
+      static_cast<unsigned long long>(flags.preload), seconds,
+      static_cast<unsigned long long>(measured.requests),
+      static_cast<unsigned long long>(measured.ops.ok),
+      static_cast<double>(measured.ops.ok) / seconds / 1e6,
+      static_cast<unsigned long long>(checked.failed),
+      static_cast<unsigned long long>(checked.wrong),
+      static_cast<unsigned long long>(protocol_errors),
+      static_cast<unsigned long long>(measured.retry_responses), us(0.50),
+      us(0.99), us(0.999));
   std::fflush(stdout);
-
-  if (server != nullptr) server->Stop();
-  return errors == 0 ? 0 : 1;
+  return protocol_errors == 0 && checked.wrong == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -19,6 +19,12 @@ namespace dash::api {
 
 namespace {
 
+// Bounded submit backoff (AsyncOptions::submit_retries): the first retry
+// waits kBackoffInitialUs, each later one twice as long, up to
+// kBackoffCapUs.
+constexpr uint64_t kBackoffInitialUs = 1;
+constexpr uint64_t kBackoffCapUs = 1024;
+
 // The shard count and table kind decide key routing, so they are written
 // to a tiny manifest next to the pools *before* any pool is created and
 // checked on every open — a mismatched configuration fails loudly
@@ -561,7 +567,7 @@ BatchFuture ShardedStore::SubmitScattered(
         // stalling every client. Sleeping holds the touched gates shared
         // — CloseClean waits at most the bounded backoff total.
         auto result = ShardExecutor::SubmitResult::kFull;
-        uint64_t delay_us = options_.async.backoff_initial_us;
+        uint64_t delay_us = kBackoffInitialUs;
         for (size_t attempt = 0; attempt <= retries; ++attempt) {
           ShardExecutor::WorkItem item;  // rebuilt: moved-from on failure
           item.kind = ShardExecutor::WorkItem::Kind::kBatch;
@@ -571,8 +577,7 @@ BatchFuture ShardedStore::SubmitScattered(
           if (result != ShardExecutor::SubmitResult::kFull) break;
           if (attempt == retries) break;
           std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-          delay_us = std::min<uint64_t>(delay_us * 2,
-                                        options_.async.backoff_cap_us);
+          delay_us = std::min(delay_us * 2, kBackoffCapUs);
         }
         if (result == ShardExecutor::SubmitResult::kQueued) continue;
         if (result == ShardExecutor::SubmitResult::kFull) {

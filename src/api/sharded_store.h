@@ -86,14 +86,11 @@ struct AsyncOptions {
   bool inline_single_shard = true;
   // Opt-in bounded backoff on a full shard queue (replacing the
   // unconditional block): a submission that finds a queue at capacity
-  // retries up to `submit_retries` times with exponential backoff
-  // (backoff_initial_us, doubling, capped at backoff_cap_us); when the
-  // retries are exhausted the shard's slots complete with kUnavailable
-  // instead of stalling the submitter forever. 0 keeps the blocking
-  // behaviour.
+  // retries up to `submit_retries` times with exponential backoff (1 us,
+  // doubling, capped at 1024 us); when the retries are exhausted the
+  // shard's slots complete with kUnavailable instead of stalling the
+  // submitter forever. 0 keeps the blocking behaviour.
   size_t submit_retries = 0;
-  uint32_t backoff_initial_us = 1;
-  uint32_t backoff_cap_us = 1024;
 };
 
 // Per-submission knobs (defaulted trailing parameter of every Submit*).

@@ -401,8 +401,11 @@ class CCEH : public TableFront<CCEH<KP>, KP> {
       CcehSlot* slot = FindSlot(seg, y, key);
       const bool found = slot != nullptr;
       if (found) {
-        KP::FreeStored(slot->key, alloc_);
+        // Clear durably, then free the key blob: see Segment::DeleteRecord.
+        const uint64_t stored = slot->key;
         pmem::AtomicPersist64(&slot->key, kEmptyKey);
+        CRASH_POINT("cceh_delete_after_clear");
+        KP::FreeStored(stored, alloc_);
       }
       seg->lock.Unlock();
       return found ? OpStatus::kOk : OpStatus::kNotFound;

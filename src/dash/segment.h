@@ -519,22 +519,34 @@ class Segment {
       return OpStatus::kRetry;
     }
 
-    OpStatus result = OpStatus::kNotFound;
+    OpStatus result = OpStatus::kOk;
+    Bucket* home = b0;
     int slot = b0->FindKey<KP>(fp, key, opts);
+    if (slot < 0 && b1 != nullptr) {
+      home = b1;
+      slot = b1->FindKey<KP>(fp, key, opts);
+    }
     if (slot >= 0) {
-      KP::FreeStored(b0->record(slot).key, alloc);
-      b0->DeleteSlot(slot);
-      result = OpStatus::kOk;
-    } else if (b1 != nullptr &&
-               (slot = b1->FindKey<KP>(fp, key, opts)) >= 0) {
-      KP::FreeStored(b1->record(slot).key, alloc);
-      b1->DeleteSlot(slot);
-      result = OpStatus::kOk;
+      DeleteRecord<KP>(home, slot, alloc, "delete_after_clear");
     } else {
       result = StashDelete<KP>(key, fp, b0, b1, opts, alloc);
     }
     UnlockPair(b0, b1, opts);
     return result;
+  }
+
+  // Clears `slot` of `b` durably, then frees the record's key blob (a
+  // no-op for fixed keys). Freeing first would let a crash leave a
+  // committed record whose key points at a free block, which the next
+  // insert of that size overwrites; this order leaks the blob at worst.
+  // Requires the exclusive lock.
+  template <typename KP>
+  static void DeleteRecord(Bucket* b, int slot, pmem::PmAllocator* alloc,
+                           const char* crash_point) {
+    const uint64_t stored = b->record(slot).key;
+    b->DeleteSlot(slot);
+    CRASH_POINT(crash_point);
+    KP::FreeStored(stored, alloc);
   }
 
   // ---- iteration (rehash, statistics, validation) ----
@@ -1041,8 +1053,7 @@ class Segment {
       s->lock().LockExclusive(opts.concurrency, opts.lock_stats);
       const int slot = s->FindKey<KP>(fp, key, opts);
       if (slot >= 0) {
-        KP::FreeStored(s->record(slot).key, alloc);
-        s->DeleteSlot(slot);
+        DeleteRecord<KP>(s, slot, alloc, "stash_delete_after_clear");
         s->lock().UnlockExclusive(opts.concurrency);
         if (opts.use_overflow_metadata) {
           if (!b0->ClearOverflowFp(fp, i, /*member=*/false) &&
@@ -1061,8 +1072,7 @@ class Segment {
       s->lock().LockExclusive(opts.concurrency, opts.lock_stats);
       const int slot = s->FindKey<KP>(fp, key, opts);
       if (slot >= 0) {
-        KP::FreeStored(s->record(slot).key, alloc);
-        s->DeleteSlot(slot);
+        DeleteRecord<KP>(s, slot, alloc, "stash_delete_after_clear");
         s->lock().UnlockExclusive(opts.concurrency);
         if (opts.use_overflow_metadata) b0->DecOverflowCount();
         return OpStatus::kOk;

@@ -586,15 +586,13 @@ TEST(ExecutorTest, QueueFullBackoffFailsFast) {
   options.async.inline_single_shard = false;
   options.async.queue_depth = 1;
   options.async.submit_retries = 3;
-  options.async.backoff_initial_us = 1;
-  options.async.backoff_cap_us = 8;
   auto store = ShardedStore::Open(options);
   ASSERT_NE(store, nullptr);
   ASSERT_TRUE(store->async_enabled());
 
   // A occupies the worker for tens of milliseconds; B takes the single
   // queue slot; C then finds the queue full for far longer than the
-  // retry budget (3 retries * <= 8us).
+  // retry budget (3 retries: 1 + 2 + 4 us of backoff).
   constexpr size_t kBig = 300000;
   std::vector<uint64_t> a_keys(kBig), a_values(kBig);
   std::vector<Status> a_status(kBig);
